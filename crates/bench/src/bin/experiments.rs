@@ -303,14 +303,6 @@ fn write_throughput_json(path: &str) {
                     black_box(scalar_fused.count_bytes(black_box(xml)).unwrap());
                 }),
             ));
-            if fused.byte_dfa().is_some() && threads > 1 {
-                series.push((
-                    format!("fused_parallel_{slug}/{pattern}"),
-                    gbit_per_s(xml.len(), || {
-                        black_box(fused.count_bytes_parallel(black_box(xml), threads).unwrap());
-                    }),
-                ));
-            }
         }
         // E23: one shared pass answering 16 queries vs 16 sequential
         // fused passes, on both query-set tiers.

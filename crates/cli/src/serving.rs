@@ -213,11 +213,7 @@ pub(crate) fn cmd_serve(args: &[String]) -> Result<(), String> {
                 let report = runtime.wait(id).map_err(|e| e.to_string())?;
                 match report.result {
                     Ok(matches) => {
-                        let path_taken = match report.path {
-                            st_serve::PathTaken::Chunked => "chunked",
-                            st_serve::PathTaken::Session => "session",
-                            st_serve::PathTaken::Shared => "shared",
-                        };
+                        let path_taken = format!("{:?}", report.path).to_lowercase();
                         println!(
                             "{path}: {} match(es) [{path_taken}, {} attempt(s), {} resume(s)]",
                             matches.len(),

@@ -265,7 +265,7 @@ mod tests {
             doc: b"<a><b/></a>".to_vec(),
             chunk_sizes: vec![1, 7],
         };
-        let text = render_entry(&case, "fused vs chunked(1)\nmulti-line");
+        let text = render_entry(&case, "fused vs resumed(1)\nmulti-line");
         let back = parse_entry(&text).expect("roundtrip parse");
         assert_eq!(back, case);
     }

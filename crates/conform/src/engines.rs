@@ -13,21 +13,25 @@
 //! 4. **Fused** — the single-pass byte→automaton engine
 //!    ([`st_core::engine`]), which must also reproduce the `Scanner`'s
 //!    error diagnostics byte-for-byte.
-//! 5. **Chunked** — the speculative data-parallel path at each requested
-//!    chunk size (registerless strategy only; other strategies have no
-//!    chunked path and are skipped).
+//! 5. **Session** — the fused engine through the resilient session
+//!    layer: one uninterrupted feed, plus one checkpoint → serialize →
+//!    resume run per requested chunk size, cutting at every multiple of
+//!    it.
 //!
 //! Comparison groups:
 //!
-//! * **Tokenizable input** (the `Scanner` yields a tag stream): event plan,
-//!   fused, and every chunked variant must return identical match sets —
-//!   even when the stream is not a well-formed tree.
+//! * **Tokenizable input** (the `Scanner` yields a tag stream): event plan
+//!   and fused must return identical match sets — even when the stream is
+//!   not a well-formed tree.
+//! * **Every input**: the forced-scalar twin must match the indexed fused
+//!   run bitwise, and every resumed session must reproduce the
+//!   uninterrupted one.
 //! * **Well-formed input** (the tag stream decodes to a tree): all five
 //!   paths must agree with the DOM oracle on the match set, and the
 //!   boolean EL/AL verdicts (`exists_branch`/`forall_branches`) must agree
 //!   across the DOM oracle, the event plan, and the stack baseline.
-//! * **Malformed input**: the fused and chunked paths must reject with
-//!   exactly the `Scanner`'s diagnostic.
+//! * **Malformed input**: the fused path must reject with exactly the
+//!   `Scanner`'s diagnostic.
 //!
 //! Panics in any engine are caught and treated as an outcome class of
 //! their own, so a `debug_assert` tripping inside an engine is reported
@@ -71,8 +75,6 @@ pub enum EngineId {
     /// twin of [`EngineId::Fused`]: the two must agree bitwise on
     /// matches, counts, error diagnostics, and checkpoint bytes.
     FusedScalar,
-    /// The data-parallel byte engine at this chunk size.
-    Chunked(usize),
     /// The fused engine run through the resilient session layer in one
     /// uninterrupted feed (the reference for the resumed runs).
     Session,
@@ -89,7 +91,6 @@ impl std::fmt::Display for EngineId {
             EngineId::EventPlan => write!(f, "event-plan"),
             EngineId::Fused => write!(f, "fused"),
             EngineId::FusedScalar => write!(f, "fused-scalar"),
-            EngineId::Chunked(s) => write!(f, "chunked({s})"),
             EngineId::Session => write!(f, "session"),
             EngineId::Resumed(s) => write!(f, "resumed({s})"),
         }
@@ -103,11 +104,9 @@ impl std::fmt::Display for EngineId {
 /// return the documented typed error.
 pub fn resume_support(id: EngineId) -> Result<(), SessionError> {
     match id {
-        EngineId::Fused
-        | EngineId::FusedScalar
-        | EngineId::Chunked(_)
-        | EngineId::Session
-        | EngineId::Resumed(_) => Ok(()),
+        EngineId::Fused | EngineId::FusedScalar | EngineId::Session | EngineId::Resumed(_) => {
+            Ok(())
+        }
         EngineId::DomOracle | EngineId::StackBaseline | EngineId::EventPlan => {
             Err(SessionError::ResumeUnsupported {
                 engine: id.to_string(),
@@ -133,18 +132,6 @@ impl Outcome {
     fn from_result(r: Result<Vec<usize>, TreeError>) -> Outcome {
         match r {
             Ok(v) => Outcome::Matches(v),
-            Err(e) => Outcome::Rejected(format!("{e:?}")),
-        }
-    }
-
-    /// Maps a session-layer result: parse errors keep the inner
-    /// `TreeError`'s debug form so error classes and positions stay
-    /// comparable with the sequential paths; other session errors
-    /// (worker failures, limits) keep their own debug form.
-    fn from_session_result(r: Result<Vec<usize>, SessionError>) -> Outcome {
-        match r {
-            Ok(v) => Outcome::Matches(v),
-            Err(SessionError::Parse(e)) => Outcome::Rejected(format!("{e:?}")),
             Err(e) => Outcome::Rejected(format!("{e:?}")),
         }
     }
@@ -463,22 +450,6 @@ pub fn run_case(case: &Case, mutation: Mutation) -> CaseOutcome {
         }
     }
 
-    let byte_dfa = fused.byte_dfa();
-    let mut chunked: Vec<(usize, Outcome)> = Vec::new();
-    if let Some(bd) = byte_dfa {
-        for &s in &case.chunk_sizes {
-            let cuts = cuts_for(s, case.doc.len());
-            let o = match catching(AssertUnwindSafe(|| {
-                bd.select_bytes_chunked_at(&case.doc, &cuts)
-            })) {
-                Ok(r) => Outcome::from_session_result(r),
-                Err(m) => Outcome::Panicked(m),
-            };
-            outcomes.push((EngineId::Chunked(s), o.clone()));
-            chunked.push((s, o));
-        }
-    }
-
     // --- Resilient session paths ------------------------------------------
     // The uninterrupted session is the reference; each chunk size drives
     // the same document through checkpoint → serialize → deserialize →
@@ -577,7 +548,6 @@ pub fn run_case(case: &Case, mutation: Mutation) -> CaseOutcome {
         scalar_sel: &scalar_sel,
         scalar_cnt,
         lockstep,
-        chunked: &chunked,
         session_sel: &session_sel,
         resumed: &resumed,
         plan_sel: plan_sel.as_ref(),
@@ -603,7 +573,6 @@ struct DiffInput<'a> {
     scalar_sel: &'a Outcome,
     scalar_cnt: Result<Result<usize, TreeError>, String>,
     lockstep: Option<String>,
-    chunked: &'a [(usize, Outcome)],
     session_sel: &'a Outcome,
     resumed: &'a [(usize, Outcome)],
     plan_sel: Option<&'a Outcome>,
@@ -620,7 +589,6 @@ fn diff(input: DiffInput<'_>) -> Option<Divergence> {
         scalar_sel,
         scalar_cnt,
         lockstep,
-        chunked,
         session_sel,
         resumed,
         plan_sel,
@@ -718,15 +686,6 @@ fn diff(input: DiffInput<'_>) -> Option<Divergence> {
                     (EngineId::DomOracle, &want),
                 );
             }
-            for (s, o) in chunked {
-                if *o != want {
-                    return mk(
-                        "error-class: chunked vs scanner",
-                        (EngineId::Chunked(*s), o),
-                        (EngineId::Fused, &want),
-                    );
-                }
-            }
         }
         Ok(_) => {
             // Tokenizable: the event plan is the reference for the whole
@@ -738,15 +697,6 @@ fn diff(input: DiffInput<'_>) -> Option<Divergence> {
                         (EngineId::Fused, fused_sel),
                         (EngineId::EventPlan, p),
                     );
-                }
-                for (s, o) in chunked {
-                    if o != fused_sel {
-                        return mk(
-                            "match-set: chunked vs fused",
-                            (EngineId::Chunked(*s), o),
-                            (EngineId::Fused, fused_sel),
-                        );
-                    }
                 }
                 // Count/select consistency on the fused path.
                 if let Outcome::Matches(v) = fused_sel {
@@ -895,6 +845,6 @@ mod tests {
             }
         }
         assert!(resume_support(EngineId::Fused).is_ok());
-        assert!(resume_support(EngineId::Chunked(4)).is_ok());
+        assert!(resume_support(EngineId::Resumed(4)).is_ok());
     }
 }

@@ -50,8 +50,10 @@ pub struct Case {
     pub alphabet: String,
     /// Raw document bytes fed to the byte-level engines.
     pub doc: Vec<u8>,
-    /// Chunk sizes exercised on the data-parallel path (cuts every `s`
-    /// bytes, capped; see [`crate::engines::cuts_for`]).
+    /// Cut spacings exercised on the session paths (cuts every `s`
+    /// bytes, capped; see [`crate::engines::cuts_for`]): checkpoint →
+    /// resume at each cut, the indexed/scalar checkpoint lockstep, and
+    /// the stream oracle's feed boundaries.
     pub chunk_sizes: Vec<usize>,
 }
 

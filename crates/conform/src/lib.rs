@@ -13,9 +13,9 @@
 //!   fooling shapes, decorated/malformed-adjacent documents, and
 //!   near-boundary chunk sizes;
 //! * [`engines`] — runs every evaluation path (DOM oracle, stack
-//!   baseline, event plan, fused byte engine, chunked data-parallel at
-//!   several cut vectors) on one case and cross-checks match sets,
-//!   boolean verdicts, and error classes;
+//!   baseline, event plan, fused byte engine indexed and forced-scalar,
+//!   session resumed at several cut vectors) on one case and
+//!   cross-checks match sets, boolean verdicts, and error classes;
 //! * [`mod@shrink`] — delta-debugs any divergence to a minimal reproducer
 //!   (subtree deletion/promotion, byte windows, chunk list, pattern AST);
 //! * [`corpus`] — persists shrunk reproducers under `testdata/corpus/`

@@ -22,7 +22,8 @@
 //! the same bytes, which is what makes failover replay dedupable.
 //!
 //! The cursor (count + FNV-1a digest over `(node, offset)` pairs in
-//! emission order) travels inside every [`EngineCheckpoint`], so a
+//! emission order) travels inside every
+//! [`EngineCheckpoint`](crate::session::EngineCheckpoint), so a
 //! resuming side knows precisely how much of the stream was already
 //! delivered — and a forged cursor is detected, never silently trusted.
 

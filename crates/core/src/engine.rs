@@ -18,17 +18,7 @@
 //!    While the lexer component sits in its text state the engine skips
 //!    to the next `<` with a word-at-a-time scan, so byte-per-byte table
 //!    walking is only paid inside tags.
-//! 3. A data-parallel path ([`ByteDfa::count_bytes_chunked`] /
-//!    [`ByteDfa::select_bytes_chunked`]): because registerless
-//!    evaluation is a pure DFA, a document can be cut at candidate tag
-//!    starts (`<`), each chunk summarized *speculatively* from the text
-//!    state into a state map `q ↦ δ*(q, chunk)` plus per-start-state
-//!    selection counts, and the summaries composed sequentially.  The
-//!    speculation (that the lexer is in its text state at each cut) is
-//!    query-independent and is validated by the previous chunk's end
-//!    state; any mismatch falls back to the sequential pass, so the
-//!    parallel path is sound on every input.
-//! 4. Fused depth-register and stack engines ([`FusedQuery`]): for HAR
+//! 3. Fused depth-register and stack engines ([`FusedQuery`]): for HAR
 //!    queries the lexer drives the Lemma 3.8 register loop directly
 //!    (depth counter + register file in locals); for the pushdown
 //!    fallback it drives an explicit state stack.  Both evaluate in the
@@ -55,38 +45,9 @@ use st_trees::xml::Scanner;
 
 use crate::error::CoreError;
 use crate::har::{HarMarkupProgram, MAX_CHAIN};
-use crate::session::SessionError;
 use crate::structural::{
     force_scalar_env, structural_scan, EventSink, NameTable, ScanEnd, ScanStats,
 };
-
-/// Converts a panic payload caught at `JoinHandle::join` into
-/// [`CoreError::WorkerFailed`].
-fn worker_failed(payload: Box<dyn std::any::Any + Send>) -> CoreError {
-    let detail = payload
-        .downcast_ref::<&str>()
-        .map(|s| (*s).to_owned())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "non-string panic payload".to_owned());
-    CoreError::WorkerFailed { detail }
-}
-
-/// Joins every handle (so the scope cannot re-raise an unobserved panic)
-/// and either returns all results or the first worker failure.
-fn join_all<T>(handles: Vec<std::thread::ScopedJoinHandle<'_, T>>) -> Result<Vec<T>, CoreError> {
-    let mut out = Vec::with_capacity(handles.len());
-    let mut failed = None;
-    for h in handles {
-        match h.join() {
-            Ok(v) => out.push(v),
-            Err(payload) => failed = Some(worker_failed(payload)),
-        }
-    }
-    match failed {
-        None => Ok(out),
-        Some(e) => Err(e),
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Byte classes (must mirror `st_trees::xml`)
@@ -582,7 +543,8 @@ pub struct ByteDfa {
     pub(crate) table: Vec<u32>,
     lexer: TagLexer,
     /// Query transitions `qnext[q * 2k + t]`, kept factored for the
-    /// chunk-summary (all-states) pass.
+    /// per-event step ([`Self::event_step`]) and the session's recovery
+    /// scan.
     pub(crate) qnext: Vec<u16>,
     pub(crate) accepting: Vec<bool>,
     pub(crate) alphabet: Alphabet,
@@ -597,22 +559,6 @@ pub struct ByteDfa {
     /// of one per byte.  `None` when `m * estride` exceeds the 15-bit
     /// offset budget — the stride then decodes events through `qnext`.
     evtab: Option<Vec<u16>>,
-}
-
-/// Speculative summary of one chunk, computed assuming the lexer starts
-/// in its text state at the chunk boundary (see module docs).
-struct ChunkSummary {
-    /// Lexer state after the chunk (validates the next chunk's
-    /// speculation: it must be `TEXT`).
-    end_lex: u16,
-    /// `qmap[q]`: query state after the chunk when entering in `q`.
-    qmap: Vec<u16>,
-    /// `counts[q]`: nodes selected within the chunk when entering in `q`.
-    counts: Vec<usize>,
-    /// Nodes opened in the chunk (query-state independent).
-    nodes: usize,
-    /// The lexer hit an error transition.
-    err: bool,
 }
 
 /// Sink for the packed-evtab count.  A struct with by-value scalar
@@ -1465,414 +1411,6 @@ impl ByteDfa {
             Err(rescan_error(bytes, &self.alphabet))
         }
     }
-
-    /// Chunk boundaries for the data-parallel path: cuts at `<` bytes,
-    /// roughly equal-sized.  `None` when splitting is not worthwhile.
-    fn chunk_plan(&self, bytes: &[u8], n_threads: usize) -> Option<Vec<usize>> {
-        const MIN_CHUNK: usize = 4 << 10;
-        if n_threads < 2 || bytes.len() < 2 * MIN_CHUNK {
-            return None;
-        }
-        let threads = n_threads.min(bytes.len() / MIN_CHUNK).max(2);
-        let size = bytes.len() / threads;
-        let mut cuts = vec![0usize];
-        for c in 1..threads {
-            let cut = find_lt(bytes, c * size);
-            if cut > *cuts.last().unwrap() && cut < bytes.len() {
-                cuts.push(cut);
-            }
-        }
-        cuts.push(bytes.len());
-        if cuts.len() < 3 {
-            None
-        } else {
-            Some(cuts)
-        }
-    }
-
-    /// Summarizes one chunk speculatively: the lexer runs once from its
-    /// text state, while the query component is simulated from *every*
-    /// state at once (`qmap`).  Sound to compose because registerless
-    /// evaluation is a pure DFA and the lexer is query-independent.
-    /// Certified tags reach the O(m) per-event simulation straight from
-    /// the structural index (scalar when forced).
-    fn summarize_chunk(&self, chunk: &[u8]) -> ChunkSummary {
-        let m = self.m;
-        let k = self.k;
-        let k2 = 2 * k;
-        let mut qmap: Vec<u16> = (0..m as u16).collect();
-        let mut counts = vec![0usize; m];
-        let mut nodes = 0usize;
-        let mut err = false;
-        let mut end_lex = TEXT;
-
-        let mut on_event = |ev: u16| {
-            let (open_l, close_t) = if (ev as usize) <= 2 * k {
-                let t = ev as usize - 1;
-                if t < k {
-                    (Some(t), None)
-                } else {
-                    (None, Some(t))
-                }
-            } else {
-                let l = ev as usize - 1 - 2 * k;
-                (Some(l), Some(k + l))
-            };
-            if let Some(l) = open_l {
-                nodes += 1;
-                for q in 0..m {
-                    let q2 = self.qnext[qmap[q] as usize * k2 + l];
-                    qmap[q] = q2;
-                    counts[q] += self.accepting[q2 as usize] as usize;
-                }
-            }
-            if let Some(t) = close_t {
-                for q in qmap.iter_mut() {
-                    *q = self.qnext[*q as usize * k2 + t];
-                }
-            }
-        };
-
-        if self.lexer.force_scalar {
-            let mut lex = TEXT;
-            let n = chunk.len();
-            let mut i = 0usize;
-            'bytes: while i < n {
-                if lex == TEXT {
-                    i = find_lt(chunk, i);
-                    if i >= n {
-                        break;
-                    }
-                }
-                let (lex2, ev) = self.lexer.step(lex, chunk[i]);
-                lex = lex2;
-                if ev != EV_NONE {
-                    if ev == EV_ERROR {
-                        err = true;
-                        break 'bytes;
-                    }
-                    on_event(ev);
-                }
-                i += 1;
-            }
-            if !err {
-                end_lex = lex;
-            }
-        } else {
-            let mut stats = ScanStats::default();
-            match structural_scan(&self.lexer, chunk, TEXT, &mut stats, &mut |ev, _| {
-                on_event(ev);
-                true
-            }) {
-                ScanEnd::Complete { lex } => end_lex = lex,
-                ScanEnd::Error { .. } => err = true,
-                ScanEnd::Stopped => unreachable!("summary sink never stops"),
-            }
-        }
-        ChunkSummary {
-            end_lex,
-            qmap,
-            counts,
-            nodes,
-            err,
-        }
-    }
-
-    /// Runs all chunk summaries on scoped threads.  A worker panic is
-    /// caught at the join and surfaces as [`CoreError::WorkerFailed`];
-    /// it never unwinds through (or aborts) the caller.
-    fn summarize_parallel(
-        &self,
-        bytes: &[u8],
-        cuts: &[usize],
-    ) -> Result<Vec<ChunkSummary>, CoreError> {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = cuts
-                .windows(2)
-                .map(|w| {
-                    let chunk = &bytes[w[0]..w[1]];
-                    scope.spawn(move || self.summarize_chunk(chunk))
-                })
-                .collect();
-            join_all(handles)
-        })
-    }
-
-    /// Validates a chain of chunk summaries: every chunk must finish with
-    /// the lexer back in text state (which certifies the next chunk's
-    /// speculative text-state start) and none may have hit an error.
-    /// Returns the entry query state per chunk and the node-id offset per
-    /// chunk on success.
-    fn compose(&self, summaries: &[ChunkSummary]) -> Option<(Vec<u16>, Vec<usize>)> {
-        let mut q = self.start; // == query init (TEXT is lexer state 0)
-        let mut node_off = 0usize;
-        let mut entry_q = Vec::with_capacity(summaries.len());
-        let mut offsets = Vec::with_capacity(summaries.len());
-        for s in summaries {
-            if s.err || s.end_lex != TEXT {
-                return None;
-            }
-            entry_q.push(q);
-            offsets.push(node_off);
-            node_off += s.nodes;
-            q = s.qmap[q as usize];
-        }
-        Some((entry_q, offsets))
-    }
-
-    /// Data-parallel count over up to `n_threads` chunks; falls back to
-    /// [`Self::count_bytes`] whenever splitting is unprofitable or the
-    /// chunk speculation fails (e.g. a cut landed inside a comment or a
-    /// quoted attribute), so the result is always exact.
-    ///
-    /// # Errors
-    ///
-    /// [`SessionError::Parse`] with the `Scanner`'s diagnostic if the
-    /// document is malformed; [`SessionError::Engine`] (worker failure)
-    /// if a chunk worker panicked — a worker panic is an engine bug, so
-    /// it is *not* papered over by the sequential fallback.
-    pub fn count_bytes_chunked(
-        &self,
-        bytes: &[u8],
-        n_threads: usize,
-    ) -> Result<usize, SessionError> {
-        let Some(cuts) = self.chunk_plan(bytes, n_threads) else {
-            return self.count_bytes(bytes).map_err(SessionError::Parse);
-        };
-        match self.count_with_cuts(bytes, &cuts)? {
-            Some(n) => Ok(n),
-            None => self.count_bytes(bytes).map_err(SessionError::Parse),
-        }
-    }
-
-    /// Speculative count over an explicit cut vector; `Ok(None)` when the
-    /// summaries fail to certify (caller falls back to sequential).
-    fn count_with_cuts(&self, bytes: &[u8], cuts: &[usize]) -> Result<Option<usize>, CoreError> {
-        let summaries = self.summarize_parallel(bytes, cuts)?;
-        let Some((entry_q, _)) = self.compose(&summaries) else {
-            return Ok(None);
-        };
-        Ok(Some(
-            summaries
-                .iter()
-                .zip(&entry_q)
-                .map(|(s, &q)| s.counts[q as usize])
-                .sum(),
-        ))
-    }
-
-    /// Normalizes caller-supplied interior cut positions into a full cut
-    /// vector `[0, c₁, …, len]`: entries that are out of range, duplicate,
-    /// or non-monotone are dropped.  `None` when no interior cut survives
-    /// (the input would be a single chunk).
-    fn normalize_cuts(len: usize, interior: &[usize]) -> Option<Vec<usize>> {
-        let mut cuts = vec![0usize];
-        for &c in interior {
-            if c > *cuts.last().unwrap() && c < len {
-                cuts.push(c);
-            }
-        }
-        cuts.push(len);
-        if cuts.len() < 3 {
-            None
-        } else {
-            Some(cuts)
-        }
-    }
-
-    /// Like [`Self::count_bytes_chunked`] but with caller-chosen interior
-    /// cut positions (byte offsets), so harnesses can force boundaries
-    /// mid-tag, mid-text, or mid-quote.  Speculation that cannot be
-    /// certified falls back to the sequential path, so the result is exact
-    /// for *any* cut vector.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Self::count_bytes_chunked`].
-    pub fn count_bytes_chunked_at(
-        &self,
-        bytes: &[u8],
-        interior_cuts: &[usize],
-    ) -> Result<usize, SessionError> {
-        let Some(cuts) = Self::normalize_cuts(bytes.len(), interior_cuts) else {
-            return self.count_bytes(bytes).map_err(SessionError::Parse);
-        };
-        match self.count_with_cuts(bytes, &cuts)? {
-            Some(n) => Ok(n),
-            None => self.count_bytes(bytes).map_err(SessionError::Parse),
-        }
-    }
-
-    /// Whether the speculative chunk summaries for the given interior cuts
-    /// certify — every chunk ends with the lexer back in text state and
-    /// none hits a lexical error — i.e. whether the data-parallel path
-    /// would commit its speculation rather than fall back to sequential.
-    /// Diagnostic hook for the chunk-boundary conformance suite.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::WorkerFailed`] if a summary worker panicked.
-    pub fn chunks_certify(&self, bytes: &[u8], interior_cuts: &[usize]) -> Result<bool, CoreError> {
-        match Self::normalize_cuts(bytes.len(), interior_cuts) {
-            Some(cuts) => {
-                let summaries = self.summarize_parallel(bytes, &cuts)?;
-                Ok(self.compose(&summaries).is_some())
-            }
-            None => Ok(false),
-        }
-    }
-
-    /// Concrete (non-speculative) run over one chunk from a known query
-    /// state and node-id offset, collecting selected ids.  Pass 2 of the
-    /// parallel select; the chunk was already validated, so errors cannot
-    /// occur here.
-    fn select_chunk(&self, chunk: &[u8], entry_q: u16, node_off: usize) -> Vec<usize> {
-        if self.lexer.force_scalar {
-            return self.select_chunk_scalar(chunk, entry_q, node_off);
-        }
-        let k = self.k;
-        let k2 = 2 * k;
-        let mut out = Vec::new();
-        let mut node = node_off;
-        let mut stats = ScanStats::default();
-        if let Some(evtab) = self.evtab.as_deref() {
-            let mut qoff = entry_q as usize * self.estride;
-            structural_scan(&self.lexer, chunk, TEXT, &mut stats, &mut |ev, _| {
-                let e = evtab[qoff + ev as usize];
-                if e >> 15 != 0 {
-                    out.push(node);
-                }
-                let ev = ev as usize;
-                node += (ev <= k || ev > k2) as usize;
-                qoff = (e & 0x7FFF) as usize;
-                true
-            });
-        } else {
-            let mut q = entry_q as usize;
-            structural_scan(&self.lexer, chunk, TEXT, &mut stats, &mut |ev, _| {
-                let (q2, opened, sel) = self.event_step(q, ev);
-                q = q2;
-                if sel {
-                    out.push(node);
-                }
-                node += opened as usize;
-                true
-            });
-        }
-        out
-    }
-
-    fn select_chunk_scalar(&self, chunk: &[u8], entry_q: u16, node_off: usize) -> Vec<usize> {
-        let m = self.m;
-        let table = self.table.as_slice();
-        let mask = table.len() - 1;
-        let mut s = entry_q as usize; // lexer TEXT ⇒ composite id == q
-        let mut out = Vec::new();
-        let mut node = node_off;
-        let n = chunk.len();
-        let mut i = 0usize;
-        while i < n {
-            if s < m {
-                i = find_lt(chunk, i);
-                if i >= n {
-                    break;
-                }
-                s += LT as usize * m;
-                i += 1;
-                if i >= n {
-                    break;
-                }
-            }
-            let p = table[((s << 8) | chunk[i] as usize) & mask];
-            s = (p & 0xFFFF) as usize;
-            if p >> 16 != 0 {
-                let f = (p >> 16) as u8;
-                if f & FLAG_SELECTED != 0 {
-                    out.push(node);
-                }
-                node += f as usize & 1;
-            }
-            i += 1;
-        }
-        out
-    }
-
-    /// Data-parallel select: pass 1 summarizes chunks (in parallel) to
-    /// learn each chunk's entry state and node-id offset, pass 2 re-runs
-    /// the chunks concretely (in parallel) collecting ids.  Falls back to
-    /// [`Self::select_bytes`] whenever speculation fails.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Self::count_bytes_chunked`].
-    pub fn select_bytes_chunked(
-        &self,
-        bytes: &[u8],
-        n_threads: usize,
-    ) -> Result<Vec<usize>, SessionError> {
-        let Some(cuts) = self.chunk_plan(bytes, n_threads) else {
-            return self.select_bytes(bytes).map_err(SessionError::Parse);
-        };
-        match self.select_with_cuts(bytes, &cuts)? {
-            Some(out) => Ok(out),
-            None => self.select_bytes(bytes).map_err(SessionError::Parse),
-        }
-    }
-
-    /// Like [`Self::select_bytes_chunked`] but with caller-chosen interior
-    /// cut positions; see [`Self::count_bytes_chunked_at`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`Self::count_bytes_chunked`].
-    pub fn select_bytes_chunked_at(
-        &self,
-        bytes: &[u8],
-        interior_cuts: &[usize],
-    ) -> Result<Vec<usize>, SessionError> {
-        let Some(cuts) = Self::normalize_cuts(bytes.len(), interior_cuts) else {
-            return self.select_bytes(bytes).map_err(SessionError::Parse);
-        };
-        match self.select_with_cuts(bytes, &cuts)? {
-            Some(out) => Ok(out),
-            None => self.select_bytes(bytes).map_err(SessionError::Parse),
-        }
-    }
-
-    /// Speculative two-pass select over an explicit cut vector; `Ok(None)`
-    /// when the summaries fail to certify.
-    fn select_with_cuts(
-        &self,
-        bytes: &[u8],
-        cuts: &[usize],
-    ) -> Result<Option<Vec<usize>>, CoreError> {
-        let summaries = self.summarize_parallel(bytes, cuts)?;
-        let Some((entry_q, offsets)) = self.compose(&summaries) else {
-            return Ok(None);
-        };
-        let per_chunk: Result<Vec<Vec<usize>>, CoreError> = std::thread::scope(|scope| {
-            let handles: Vec<_> = cuts
-                .windows(2)
-                .zip(entry_q.iter().zip(&offsets))
-                .map(|(w, (&q, &off))| {
-                    let chunk = &bytes[w[0]..w[1]];
-                    scope.spawn(move || self.select_chunk(chunk, q, off))
-                })
-                .collect();
-            join_all(handles)
-        });
-        Ok(Some(per_chunk?.concat()))
-    }
-
-    /// Test hook: truncates the factored query-transition table that only
-    /// the chunk-summary workers read, so the next chunked call panics
-    /// inside those workers and nowhere else — the fault-injection suite
-    /// uses it to prove worker panics surface as a clean
-    /// [`CoreError::WorkerFailed`] instead of an abort.
-    #[doc(hidden)]
-    pub fn poison_chunk_workers_for_tests(&mut self) {
-        self.qnext.truncate(1);
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -2264,7 +1802,8 @@ impl FusedQuery {
     }
 
     /// The registerless byte engine, when that is the chosen backend
-    /// (exposes the data-parallel entry points).
+    /// (exposes its diagnostic entry points, such as
+    /// [`ByteDfa::probe_events_noop`]).
     pub fn byte_dfa(&self) -> Option<&ByteDfa> {
         match &self.backend {
             FusedBackend::Registerless(b) => Some(b),
@@ -2389,41 +1928,6 @@ impl FusedQuery {
         }
     }
 
-    /// Like [`Self::count_bytes`] but uses the data-parallel chunked path
-    /// when the backend is registerless (the only backend whose state
-    /// composes); other backends run the sequential fused pass.
-    ///
-    /// # Errors
-    ///
-    /// As for [`ByteDfa::count_bytes_chunked`].
-    pub fn count_bytes_parallel(
-        &self,
-        bytes: &[u8],
-        n_threads: usize,
-    ) -> Result<usize, SessionError> {
-        match &self.backend {
-            FusedBackend::Registerless(b) => b.count_bytes_chunked(bytes, n_threads),
-            _ => self.count_bytes(bytes).map_err(SessionError::Parse),
-        }
-    }
-
-    /// Like [`Self::select_bytes`] but uses the data-parallel chunked
-    /// path when the backend is registerless.
-    ///
-    /// # Errors
-    ///
-    /// As for [`ByteDfa::select_bytes_chunked`].
-    pub fn select_bytes_parallel(
-        &self,
-        bytes: &[u8],
-        n_threads: usize,
-    ) -> Result<Vec<usize>, SessionError> {
-        match &self.backend {
-            FusedBackend::Registerless(b) => b.select_bytes_chunked(bytes, n_threads),
-            _ => self.select_bytes(bytes).map_err(SessionError::Parse),
-        }
-    }
-
     /// Records one completed engine run into `obs`.  The byte loops
     /// themselves stay untouched — metrics are tallied once per run, so
     /// the no-op handle's cost is a handful of branches per document.
@@ -2481,60 +1985,6 @@ impl FusedQuery {
         let res = self.select_bytes_stats(bytes, &mut stats);
         self.record_run(obs, bytes.len(), res.as_ref().ok().map(Vec::len), &stats);
         res
-    }
-
-    /// [`Self::count_bytes_parallel`] with per-run metrics recorded into
-    /// `obs`, plus the chunked-path tallies `engine_chunked_runs_total`
-    /// and `engine_chunks_total` when the data-parallel path ran.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Self::count_bytes_parallel`].
-    pub fn count_bytes_parallel_observed(
-        &self,
-        bytes: &[u8],
-        n_threads: usize,
-        obs: &st_obs::ObsHandle,
-    ) -> Result<usize, SessionError> {
-        let res = self.count_bytes_parallel(bytes, n_threads);
-        self.record_run(
-            obs,
-            bytes.len(),
-            res.as_ref().ok().copied(),
-            &ScanStats::default(),
-        );
-        self.record_chunked(obs, n_threads);
-        res
-    }
-
-    /// [`Self::select_bytes_parallel`] with per-run metrics recorded into
-    /// `obs`; see [`Self::count_bytes_parallel_observed`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`Self::select_bytes_parallel`].
-    pub fn select_bytes_parallel_observed(
-        &self,
-        bytes: &[u8],
-        n_threads: usize,
-        obs: &st_obs::ObsHandle,
-    ) -> Result<Vec<usize>, SessionError> {
-        let res = self.select_bytes_parallel(bytes, n_threads);
-        self.record_run(
-            obs,
-            bytes.len(),
-            res.as_ref().ok().map(Vec::len),
-            &ScanStats::default(),
-        );
-        self.record_chunked(obs, n_threads);
-        res
-    }
-
-    fn record_chunked(&self, obs: &st_obs::ObsHandle, n_threads: usize) {
-        if obs.is_enabled() && matches!(&self.backend, FusedBackend::Registerless(_)) {
-            obs.counter("engine_chunked_runs_total").incr();
-            obs.counter("engine_chunks_total").add(n_threads as u64);
-        }
     }
 }
 
@@ -2747,39 +2197,6 @@ mod tests {
             }
         }
     }
-
-    #[test]
-    fn chunked_agrees_with_sequential() {
-        let g = Alphabet::of_chars("abc");
-        let dfa = compile_regex("a.*b", &g).unwrap();
-        let plan = CompiledQuery::compile(&dfa);
-        let fused = plan.fused(&g).unwrap();
-        let byte_dfa = fused.byte_dfa().expect("a.*b is registerless");
-        for seed in 0..4 {
-            let tree = generate::random_attachment(&g, 4000, 0.6, seed);
-            let tags = markup_encode(&tree);
-            let mut bytes = decorate(&tags, &g, seed);
-            // Plant a comment containing '<' so some cut lands inside it
-            // on at least some thread counts, exercising the fallback.
-            let mid = bytes.len() / 2;
-            let at = find_lt(&bytes, mid);
-            bytes.splice(at..at, b"<!-- < tricky < cut -->".iter().copied());
-            let want = byte_dfa.select_bytes(&bytes).unwrap();
-            for threads in [2, 3, 4, 7] {
-                assert_eq!(
-                    byte_dfa.select_bytes_chunked(&bytes, threads).unwrap(),
-                    want,
-                    "seed {seed} threads {threads}"
-                );
-                assert_eq!(
-                    byte_dfa.count_bytes_chunked(&bytes, threads).unwrap(),
-                    want.len(),
-                    "seed {seed} threads {threads}"
-                );
-            }
-        }
-    }
-
     #[test]
     fn errors_match_scanner_diagnostics() {
         let g = Alphabet::of_chars("ab");

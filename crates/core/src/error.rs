@@ -37,15 +37,6 @@ pub enum CoreError {
         /// Human-readable description of the defect.
         detail: String,
     },
-    /// A data-parallel chunk worker panicked.  The panic is caught at
-    /// `JoinHandle::join` and converted into this error instead of
-    /// unwinding through (or aborting) the caller; the sequential paths
-    /// are deliberately *not* retried, so an engine bug cannot hide
-    /// behind the certify-or-fallback machinery.
-    WorkerFailed {
-        /// The panic payload, when it carried a message.
-        detail: String,
-    },
 }
 
 impl fmt::Display for CoreError {
@@ -72,9 +63,6 @@ impl fmt::Display for CoreError {
                 )
             }
             CoreError::MalformedDtd { detail } => write!(f, "malformed DTD: {detail}"),
-            CoreError::WorkerFailed { detail } => {
-                write!(f, "a chunk worker panicked: {detail}")
-            }
         }
     }
 }

@@ -31,8 +31,12 @@
 //! * [`engine`] — the fused byte→automaton streaming engine: the
 //!   tokenizer composed with the planned evaluator into one machine, so a
 //!   single pass over raw XML bytes evaluates the query
-//!   ([`planner::CompiledQuery::fused`]); registerless queries also get a
-//!   data-parallel chunked path.
+//!   ([`planner::CompiledQuery::fused`]).  A registerless query is a
+//!   plain DFA over the tag stream, so one core runs it with one state
+//!   per event.
+//! * [`session`] — the same engines fed incrementally, with
+//!   checkpoint/resume, resource limits and streaming emission; every
+//!   single-query serving request runs through it.
 //! * [`papers`] — every automaton, language, and example the paper names,
 //!   as constructors keyed by figure/example number.
 //!

@@ -156,8 +156,9 @@ impl Query {
         &self.plan
     }
 
-    /// The fused byte engine (for the data-parallel chunked entry
-    /// points and the serving runtime, which shares engines via `Arc`).
+    /// The fused byte engine: the session entry points
+    /// ([`FusedQuery::session`], [`FusedQuery::resume`]) live on it, and
+    /// the serving runtime shares it across requests via `Arc`.
     pub fn fused(&self) -> &FusedQuery {
         &self.fused
     }

@@ -34,10 +34,9 @@
 //!   the query and depth state survive the skip, so one corrupt tag does
 //!   not void the rest of the document.
 //!
-//! Error handling across the chunked engines is unified under
-//! [`SessionError`]; worker panics in the data-parallel path are caught
-//! at the join and surface as [`CoreError::WorkerFailed`] — see
-//! [`crate::engine`].
+//! Every failure a session can report — parse errors, engine errors,
+//! exceeded limits, rejected checkpoints — is one typed
+//! [`SessionError`].
 
 use std::fmt;
 use std::sync::OnceLock;
@@ -277,14 +276,12 @@ impl fmt::Display for LimitExceeded {
 // SessionError
 // ---------------------------------------------------------------------------
 
-/// Unified error type of the resilient session layer and the chunked
-/// data-parallel engines.
+/// Unified error type of the resilient session layer.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SessionError {
     /// The document is malformed; carries the parse diagnostic.
     Parse(TreeError),
-    /// An engine failure — notably [`CoreError::WorkerFailed`] when a
-    /// data-parallel chunk worker panicked.
+    /// An engine failure raised as a [`CoreError`].
     Engine(CoreError),
     /// A resource budget was exceeded.
     Limit(LimitExceeded),

@@ -35,8 +35,9 @@
 //! Retries back off exponentially and are bounded; the terminal error is
 //! typed ([`ServeError::Failed`]) and carries the full failure history.
 //!
-//! The degradation ladder under pressure: data-parallel chunked path →
-//! sequential guarded session path → load shedding at the queue.
+//! Every single-query request runs that one checkpointed session path,
+//! whatever its size or class.  Under pressure the runtime sheds load at
+//! the bounded queue and refuses work past the in-flight byte budget.
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -49,7 +50,6 @@ use std::time::Duration;
 use st_automata::{compile_regex, Alphabet};
 use st_core::emit::{EmissionCursor, StreamedMatch};
 use st_core::engine::FusedQuery;
-use st_core::planner::Strategy;
 use st_core::queryset::QuerySet;
 use st_core::session::{monotonic_clock, ClockFn, EngineCheckpoint, Limits};
 use st_obs::{Counter, Gauge, Histogram, ObsHandle, TraceEvent};
@@ -96,8 +96,7 @@ pub struct JobSpec {
     /// Whether the submitter consumes the match stream incrementally
     /// (polling [`ServeRuntime::emitted_prefix`] while the request
     /// runs).  Streamed requests get a supervisor-side emission ledger
-    /// with exactly-once replay dedup across failovers, and skip the
-    /// chunked fast path — which only ever reports at end-of-document.
+    /// with exactly-once replay dedup across failovers.
     pub stream: bool,
 }
 
@@ -141,9 +140,8 @@ impl JobSpec {
 /// limits are claimed as one group and served by a single shared
 /// [`QuerySet`] pass; per-query results are split back out to each
 /// request ([`ServeRuntime::wait_multi`]).  A request that carries its
-/// own [`Limits`] always runs alone.  Multi-query requests take the
-/// shared-session path unconditionally — the chunked fast path and
-/// chaos injection apply only to single-query requests.
+/// own [`Limits`] always runs alone.  Chaos injection applies only to
+/// single-query requests.
 #[derive(Clone)]
 pub struct MultiJobSpec {
     /// The path patterns to evaluate (the per-query result order).
@@ -203,7 +201,9 @@ impl MultiJobSpec {
 /// Which evaluation path ultimately served a request.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PathTaken {
-    /// The data-parallel chunked byte engine (fast path).
+    /// Never produced: every single-query request runs the session
+    /// path.  The variant remains so that code matching on it still
+    /// compiles.
     Chunked,
     /// The sequential guarded session path with checkpoint cadence.
     Session,
@@ -226,8 +226,9 @@ pub struct JobReport {
     pub resumes: u32,
     /// The path that produced the result.
     pub path: PathTaken,
-    /// Whether queue/memory pressure degraded this request from the
-    /// chunked path to the session path.
+    /// Always `false`: every single-query request runs the session
+    /// path, so none is degraded.  The field remains so that code
+    /// reading it still compiles.
     pub degraded: bool,
     /// Every non-terminal failure absorbed along the way, oldest first.
     pub failures: Vec<FailureCause>,
@@ -286,8 +287,6 @@ pub struct ServeStats {
     pub stalls: u64,
     /// Corrupt segments detected.
     pub corruptions: u64,
-    /// Requests degraded from the chunked to the session path.
-    pub degraded: u64,
     /// Checkpoints minted.
     pub checkpoints: u64,
     /// Worker threads spawned (initial pool + replacements).
@@ -313,7 +312,7 @@ impl std::fmt::Display for ServeStats {
             f,
             "submitted {} completed {} failed {} shed {} rejected {} | \
              retries {} resumes {} panics {} stalls {} corruptions {} | \
-             degraded {} checkpoints {} workers-spawned {} | \
+             checkpoints {} workers-spawned {} | \
              multi-groups {} multi-members {} deadline-expired {} | \
              emitted {} emission-suppressed {}",
             self.submitted,
@@ -326,7 +325,6 @@ impl std::fmt::Display for ServeStats {
             self.panics,
             self.stalls,
             self.corruptions,
-            self.degraded,
             self.checkpoints,
             self.workers_spawned,
             self.multi_groups,
@@ -426,7 +424,6 @@ struct JobState {
     failures: Vec<FailureCause>,
     status: Status,
     path: PathTaken,
-    degraded: bool,
     /// Admission timestamp (ms since runtime epoch), for the terminal
     /// latency histogram.
     submitted_ms: u64,
@@ -504,7 +501,6 @@ struct ServeObs {
     panics: Counter,
     stalls: Counter,
     corruptions: Counter,
-    degraded: Counter,
     checkpoints: Counter,
     workers_spawned: Counter,
     multi_groups: Counter,
@@ -539,7 +535,6 @@ impl ServeObs {
             panics: handle.counter("serve_panics_total"),
             stalls: handle.counter("serve_stalls_total"),
             corruptions: handle.counter("serve_corruptions_total"),
-            degraded: handle.counter("serve_degraded_total"),
             checkpoints: handle.counter("serve_checkpoints_total"),
             workers_spawned: handle.counter("serve_workers_spawned_total"),
             multi_groups: handle.counter("serve_multi_groups_total"),
@@ -597,7 +592,6 @@ struct Inner {
     panics: AtomicU64,
     stalls: AtomicU64,
     corruptions: AtomicU64,
-    degraded: AtomicU64,
     checkpoints: AtomicU64,
     workers_spawned: AtomicU64,
     multi_groups: AtomicU64,
@@ -628,7 +622,6 @@ impl Inner {
             panics: self.panics.load(Ordering::SeqCst),
             stalls: self.stalls.load(Ordering::SeqCst),
             corruptions: self.corruptions.load(Ordering::SeqCst),
-            degraded: self.degraded.load(Ordering::SeqCst),
             checkpoints: self.checkpoints.load(Ordering::SeqCst),
             workers_spawned: self.workers_spawned.load(Ordering::SeqCst),
             multi_groups: self.multi_groups.load(Ordering::SeqCst),
@@ -690,6 +683,7 @@ impl Inner {
             waited_ms = now_ms.saturating_sub(st.submitted_ms);
             let attempts = st.attempt;
             st.status = Status::Done(Err(ServeError::DeadlineExpired { waited_ms }));
+            st.resume = None;
             let bytes = st.work.doc_len();
             let held = self.in_flight_bytes.fetch_sub(bytes, Ordering::SeqCst);
             self.obs.in_flight_bytes.set((held - bytes) as i64);
@@ -710,22 +704,6 @@ impl Inner {
         true
     }
 
-    /// Whether the degradation ladder should step down from the chunked
-    /// to the session path: queue occupancy at/over the configured
-    /// fraction, or the in-flight byte budget half consumed.
-    fn pressure_high(&self) -> bool {
-        let qlen = lock(&self.queue).q.len();
-        if qlen * 100 >= self.cfg.queue_capacity * self.cfg.degrade_at_percent {
-            return true;
-        }
-        if let Some(mb) = self.cfg.budget.max_in_flight_bytes {
-            if self.in_flight_bytes.load(Ordering::SeqCst) * 2 >= mb {
-                return true;
-            }
-        }
-        false
-    }
-
     /// Records a successful completion for `(job, attempt)`.  A stale
     /// attempt (superseded by failover) is discarded.
     fn complete(&self, job: u64, attempt: u32, matches: Vec<usize>, path: PathTaken) {
@@ -739,6 +717,7 @@ impl Inner {
                 return;
             }
             st.status = Status::Done(Ok(matches));
+            st.resume = None;
             st.path = path;
             bytes = st.work.doc_len();
             submitted_ms = st.submitted_ms;
@@ -992,18 +971,6 @@ impl Inner {
         self.obs.resumes.incr();
     }
 
-    fn mark_degraded(&self, job: u64, attempt: u32) {
-        let mut jobs = lock(&self.jobs);
-        if let Some(st) = jobs.get_mut(&job) {
-            if st.attempt == attempt {
-                st.degraded = true;
-            }
-        }
-        self.degraded.fetch_add(1, Ordering::SeqCst);
-        self.obs.degraded.incr();
-        self.obs.trace(TraceEvent::Degraded { job });
-    }
-
     /// Records a failed attempt: requeues with exponential backoff when
     /// the cause is retryable and the retry budget allows, otherwise
     /// finalizes the request with a typed [`ServeError::Failed`].
@@ -1065,6 +1032,7 @@ impl Inner {
                     attempts: st.attempt,
                     last: cause,
                 }));
+                st.resume = None;
                 let bytes = st.work.doc_len();
                 let held = self.in_flight_bytes.fetch_sub(bytes, Ordering::SeqCst);
                 self.failed.fetch_add(1, Ordering::SeqCst);
@@ -1108,7 +1076,7 @@ impl Inner {
                 attempts: st.attempt,
                 resumes: st.resumes,
                 path: st.path,
-                degraded: st.degraded,
+                degraded: false,
                 failures: st.failures.clone(),
                 emitted: st.ledger.clone(),
                 suppressed: st.suppressed,
@@ -1191,9 +1159,9 @@ fn worker_main(inner: Arc<Inner>, slot: Arc<WorkerSlot>, rx: Receiver<Assignment
     }
 }
 
-/// Runs one assignment: a lone single-query job takes the existing
-/// chunked/session ladder; everything else is a multi-query group
-/// served by one shared pass.
+/// Runs one assignment: a lone single-query job runs the checkpointed
+/// session path; everything else is a multi-query group served by one
+/// shared pass.
 fn run_group(inner: &Arc<Inner>, slot: &WorkerSlot, group: &[(u64, u32)]) {
     if let [(job, attempt)] = group {
         let is_single = {
@@ -1323,33 +1291,6 @@ fn run_job(inner: &Arc<Inner>, slot: &WorkerSlot, job: u64, attempt: u32) {
     let limits = cfg
         .budget
         .session_limits_for(spec.limits.as_ref(), &cfg.obs);
-
-    // Fast path: the data-parallel chunked engine, for large registerless
-    // documents on a fresh, guard-free, chaos-free attempt.  Under
-    // pressure the degradation ladder steps down to the session path.
-    // Streamed requests never take the chunked path: it reports only at
-    // end-of-document, and the whole point of streaming is delivery at
-    // the certainty frontier.
-    let chunk_eligible = cfg.chaos.is_none()
-        && attempt == 1
-        && resume.is_none()
-        && !spec.stream
-        && doc.len() >= cfg.parallel_threshold
-        && spec.query.strategy() == Strategy::Registerless
-        && limits.is_unbounded();
-    if chunk_eligible {
-        if inner.pressure_high() {
-            inner.mark_degraded(job, attempt);
-        } else {
-            slot.heartbeat_ms.store(inner.now_ms(), Ordering::SeqCst);
-            match spec.query.select_bytes_parallel(doc, cfg.chunk_threads) {
-                Ok(m) => return inner.complete(job, attempt, m, PathTaken::Chunked),
-                Err(e) => {
-                    return inner.record_attempt_failure(job, attempt, FailureCause::Engine(e))
-                }
-            }
-        }
-    }
 
     // Guarded session path with checkpoint cadence.
     let prefix = resume
@@ -1764,7 +1705,6 @@ impl ServeRuntime {
             panics: AtomicU64::new(0),
             stalls: AtomicU64::new(0),
             corruptions: AtomicU64::new(0),
-            degraded: AtomicU64::new(0),
             checkpoints: AtomicU64::new(0),
             workers_spawned: AtomicU64::new(0),
             multi_groups: AtomicU64::new(0),
@@ -1824,7 +1764,6 @@ impl ServeRuntime {
                             failures: Vec::new(),
                             status: Status::Queued,
                             path: PathTaken::Session,
-                            degraded: false,
                             submitted_ms,
                             deadline_ms: work
                                 .deadline()
@@ -2104,4 +2043,59 @@ pub fn silence_chaos_panics() {
             }
         }));
     });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn fused(pattern: &str) -> Arc<FusedQuery> {
+        let g = Alphabet::of_chars("ab");
+        Arc::new(st_core::Query::compile(pattern, &g).unwrap().into_fused())
+    }
+
+    /// Whether the runtime still holds a resume point for `id`.
+    fn holds_resume_point(rt: &ServeRuntime, id: JobId) -> bool {
+        lock(&rt.inner.jobs)[&id.0].resume.is_some()
+    }
+
+    #[test]
+    fn finished_jobs_hold_no_resume_point() {
+        // A small cadence makes every attempt store several checkpoints
+        // before it finishes, one way or the other.
+        let rt = ServeRuntime::start(
+            ServeConfig::default()
+                .with_workers(1)
+                .with_checkpoint_every(8)
+                .with_max_retries(1)
+                .with_backoff_base(Duration::from_millis(1)),
+        );
+        let mut doc = b"<a>".to_vec();
+        for _ in 0..32 {
+            doc.extend_from_slice(b"<b></b>");
+        }
+        let mut broken = doc.clone();
+        doc.extend_from_slice(b"</a>");
+        broken.extend_from_slice(b"<c/></a>");
+
+        let ok = rt.submit(JobSpec::new(fused("a.*b"), doc)).unwrap();
+        let first = rt.wait(ok).unwrap();
+        assert_eq!(first.result.as_ref().unwrap().len(), 32);
+        assert_eq!(first.path, PathTaken::Session);
+        assert!(!holds_resume_point(&rt, ok));
+        let again = rt.wait(ok).unwrap();
+        assert_eq!(again.result, first.result);
+        assert_eq!(again.attempts, first.attempts);
+
+        // A terminal failure (a parse error past the retry budget) drops
+        // the resume point too.
+        let bad = rt.submit(JobSpec::new(fused("a.*b"), broken)).unwrap();
+        let report = rt.wait(bad).unwrap();
+        assert!(matches!(report.result, Err(ServeError::Failed { .. })));
+        assert_eq!(report.resumes, 1);
+        assert!(!holds_resume_point(&rt, bad));
+        assert!(rt.wait(bad).unwrap().result.is_err());
+
+        assert!(rt.shutdown().checkpoints > 0);
+    }
 }

@@ -1,143 +1,17 @@
-//! Chunk-boundary conformance for the data-parallel byte engine.
+//! Structural-index window-boundary adversaries for the byte engines.
 //!
-//! The speculative chunked path may cut the input anywhere — mid-tag,
-//! mid-text, mid-quote.  Its contract is certify-or-fallback: either
-//! every chunk summary composes (the lexer lands back in text state at
-//! each cut) and the speculation commits, or the engine silently re-runs
-//! sequentially.  Either way the observable result must be byte-for-byte
-//! identical to the sequential path, for *any* cut vector.
+//! The two-pass byte engine builds its `<`/`>`/hazard bitmaps over fixed
+//! STRUCTURAL_WINDOW-byte windows.  Tags that touch a window edge must
+//! never certify from a partial view: a `<` on the last byte of a window,
+//! a `</` whose halves land in different windows, or a comment terminator
+//! `-->` straddling the edge all have to fall back to the scalar lexer —
+//! and produce results bitwise identical to the forced-scalar run.
+//!
+//! Cuts *between feeds* (mid-tag, mid-quote, mid-comment-terminator) are
+//! the session layer's concern; `tests/session.rs` covers them at every
+//! byte position, including across the window edge.
 
-use stackless_streamed_trees::automata::{compile_regex, Alphabet};
-use stackless_streamed_trees::core::engine::FusedQuery;
-use stackless_streamed_trees::core::planner::{CompiledQuery, Strategy};
-
-/// A registerless query (`a Γ* b`) whose fused engine exposes the
-/// chunked path, plus a document with the three interesting regions:
-/// tags, text runs, and a quoted attribute value containing `<` and `>`.
-fn engine_and_doc() -> (FusedQuery, Vec<u8>) {
-    let g = Alphabet::of_chars("ab");
-    let dfa = compile_regex("a.*b", &g).unwrap();
-    let plan = CompiledQuery::compile(&dfa);
-    assert_eq!(plan.strategy(), Strategy::Registerless);
-    let fused = plan.fused(&g).unwrap();
-    assert!(
-        fused.byte_dfa().is_some(),
-        "registerless plans are chunkable"
-    );
-    let doc = b"<a q=\"x<y>z\"><b>hello world</b><b><a/></b></a>".to_vec();
-    (fused, doc)
-}
-
-fn cut_at(doc: &[u8], needle: &str, offset: usize) -> usize {
-    let pos = doc
-        .windows(needle.len())
-        .position(|w| w == needle.as_bytes())
-        .expect("needle present");
-    pos + offset
-}
-
-#[test]
-fn every_single_cut_position_matches_sequential() {
-    let (fused, doc) = engine_and_doc();
-    let engine = fused.byte_dfa().unwrap();
-    let want = engine.select_bytes(&doc).unwrap();
-    let want_count = engine.count_bytes(&doc).unwrap();
-    assert!(!want.is_empty(), "test document should select something");
-    for cut in 1..doc.len() {
-        let got = engine.select_bytes_chunked_at(&doc, &[cut]).unwrap();
-        assert_eq!(got, want, "cut at byte {cut}");
-        let n = engine.count_bytes_chunked_at(&doc, &[cut]).unwrap();
-        assert_eq!(n, want_count, "cut at byte {cut}");
-    }
-}
-
-#[test]
-fn chunk_size_one_matches_sequential() {
-    let (fused, doc) = engine_and_doc();
-    let engine = fused.byte_dfa().unwrap();
-    let cuts: Vec<usize> = (1..doc.len()).collect();
-    let want = engine.select_bytes(&doc).unwrap();
-    assert_eq!(engine.select_bytes_chunked_at(&doc, &cuts).unwrap(), want);
-    assert_eq!(
-        engine.count_bytes_chunked_at(&doc, &cuts).unwrap(),
-        want.len()
-    );
-}
-
-#[test]
-fn mid_text_cut_certifies_and_matches() {
-    let (fused, doc) = engine_and_doc();
-    let engine = fused.byte_dfa().unwrap();
-    let cut = cut_at(&doc, "hello world", 6); // between "hello " and "world"
-    assert!(
-        engine.chunks_certify(&doc, &[cut]).unwrap(),
-        "a cut inside a text run leaves the lexer in text state"
-    );
-    assert_eq!(
-        engine.select_bytes_chunked_at(&doc, &[cut]).unwrap(),
-        engine.select_bytes(&doc).unwrap()
-    );
-}
-
-#[test]
-fn mid_tag_cut_falls_back_and_matches() {
-    let (fused, doc) = engine_and_doc();
-    let engine = fused.byte_dfa().unwrap();
-    let cut = cut_at(&doc, "<a q=", 2); // inside the open tag
-    assert!(
-        !engine.chunks_certify(&doc, &[cut]).unwrap(),
-        "a mid-tag cut must not certify"
-    );
-    assert_eq!(
-        engine.select_bytes_chunked_at(&doc, &[cut]).unwrap(),
-        engine.select_bytes(&doc).unwrap()
-    );
-}
-
-#[test]
-fn mid_quote_cut_falls_back_and_matches() {
-    let (fused, doc) = engine_and_doc();
-    let engine = fused.byte_dfa().unwrap();
-    // Inside the quoted value `x<y>z`: a naive scanner restarted here
-    // would misread the quoted `>` as a tag close.
-    let cut = cut_at(&doc, "x<y>z", 2);
-    assert!(
-        !engine.chunks_certify(&doc, &[cut]).unwrap(),
-        "a mid-quote cut must not certify"
-    );
-    assert_eq!(
-        engine.select_bytes_chunked_at(&doc, &[cut]).unwrap(),
-        engine.select_bytes(&doc).unwrap()
-    );
-}
-
-#[test]
-fn malformed_document_errors_identically_at_any_cut() {
-    let (fused, _) = engine_and_doc();
-    let engine = fused.byte_dfa().unwrap();
-    let doc = b"<a><b>text</b".to_vec(); // truncated close tag
-    let want = stackless_streamed_trees::core::session::SessionError::Parse(
-        engine.select_bytes(&doc).unwrap_err(),
-    );
-    for cut in 1..doc.len() {
-        let got = engine.select_bytes_chunked_at(&doc, &[cut]).unwrap_err();
-        assert_eq!(
-            format!("{got:?}"),
-            format!("{want:?}"),
-            "error class drifted at cut {cut}"
-        );
-    }
-}
-
-// --- Structural-index window-boundary adversaries ------------------------
-//
-// The two-pass byte engine builds its `<`/`>`/hazard bitmaps over fixed
-// STRUCTURAL_WINDOW-byte windows.  Tags that touch a window edge must
-// never certify from a partial view: a `<` on the last byte of a window,
-// a `</` whose halves land in different windows, or a comment terminator
-// `-->` straddling the edge all have to fall back to the scalar lexer —
-// and produce results bitwise identical to the forced-scalar run.
-
+use stackless_streamed_trees::automata::Alphabet;
 use stackless_streamed_trees::core::structural::STRUCTURAL_WINDOW;
 use stackless_streamed_trees::core::Query;
 
@@ -221,25 +95,5 @@ fn truncation_inside_the_window_edge_tag_errors_identically() {
                 "{tag:?} truncated at {at}"
             );
         }
-    }
-}
-
-#[test]
-fn chunked_cuts_on_the_window_edge_match_sequential() {
-    let (indexed, _) = oracle_pair();
-    let engine = indexed.fused().byte_dfa().unwrap();
-    let w = STRUCTURAL_WINDOW;
-    let doc = doc_with_structure_at("</b><b>", w - 1);
-    let doc = {
-        // Balance: insert the b-open before the padding close.
-        let mut d = b"<a><b>".to_vec();
-        d.extend_from_slice(&doc[3..doc.len() - 4]);
-        d.extend_from_slice(b"</b></a>");
-        d
-    };
-    let want = engine.select_bytes(&doc).unwrap();
-    for cut in [w - 2, w - 1, w, w + 1, w + 2] {
-        let got = engine.select_bytes_chunked_at(&doc, &[cut]).unwrap();
-        assert_eq!(got, want, "cut at {cut}");
     }
 }

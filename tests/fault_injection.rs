@@ -1,10 +1,8 @@
 //! Fault injection: the panic-free guarantee under hostile conditions.
 //!
-//! Three fault families, per the robustness contract:
+//! Two fault families, per the robustness contract (worker panics in
+//! the serving pool are covered by `tests/serve_runtime.rs`):
 //!
-//! * **Worker panics** — a panic inside a data-parallel chunk worker must
-//!   surface as a clean [`CoreError::WorkerFailed`] through every chunked
-//!   entry point, never an unwind or abort of the caller.
 //! * **Hostile bytes** — mid-stream corruption at every position of a
 //!   document must leave all engines in agreement (typed errors with
 //!   deterministic offsets, or identical match sets), with zero panics.
@@ -19,76 +17,8 @@
 use stackless_streamed_trees::automata::{compile_regex, Alphabet};
 use stackless_streamed_trees::conform::gen::{case_rng, gen_case};
 use stackless_streamed_trees::conform::{run_case, Case, GenConfig, Mutation, Outcome};
-use stackless_streamed_trees::core::registerless;
 use stackless_streamed_trees::core::session::{ErrorClass, LimitKind, Limits, SessionError};
-use stackless_streamed_trees::core::{Analysis, ByteDfa, CompiledQuery, CoreError};
-
-fn poisoned_byte_dfa() -> ByteDfa {
-    let g = Alphabet::of_chars("ab");
-    let dfa = compile_regex("a.*b", &g).unwrap();
-    let markup = registerless::compile_query_markup(&Analysis::new(&dfa)).unwrap();
-    let mut bd = ByteDfa::new(&markup, &g).unwrap();
-    bd.poison_chunk_workers_for_tests();
-    bd
-}
-
-/// Runs `f` with panic output silenced (the poisoned workers *do* panic;
-/// that is the point — but their backtraces are noise in test logs).
-fn quietly<T>(f: impl FnOnce() -> T) -> T {
-    let prev = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let out = f();
-    std::panic::set_hook(prev);
-    out
-}
-
-/// Satellite: both former `.expect("chunk worker panicked")` join sites,
-/// exercised through every chunked entry point with a table poisoned so
-/// that **only** the chunk workers' factored automaton walk panics (the
-/// sequential paths never read `qnext`).
-#[test]
-fn chunk_worker_panic_is_a_clean_error_not_an_abort() {
-    let bd = poisoned_byte_dfa();
-    // Large enough that the auto-chunking wrappers actually split
-    // (they decline below 8 KiB and would run sequentially).
-    let mut doc = b"<a>".to_vec();
-    for _ in 0..1000 {
-        doc.extend_from_slice(b"<b>some text</b>");
-    }
-    doc.extend_from_slice(b"</a>");
-    // The sequential paths are untouched by the poison.
-    let want = bd.select_bytes(&doc).unwrap();
-    assert!(!want.is_empty());
-
-    let cuts = vec![700, 1400, 2100];
-    let (sel_at, cnt_at, sel_auto, cnt_auto) = quietly(|| {
-        (
-            bd.select_bytes_chunked_at(&doc, &cuts),
-            bd.count_bytes_chunked_at(&doc, &cuts),
-            // The auto-chunking wrappers go through the same join.
-            bd.select_bytes_chunked(&doc, 8),
-            bd.count_bytes_chunked(&doc, 8),
-        )
-    });
-    match sel_at {
-        Err(SessionError::Engine(CoreError::WorkerFailed { detail })) => {
-            assert!(!detail.is_empty(), "panic payload is carried along");
-        }
-        other => panic!("select_bytes_chunked_at: expected WorkerFailed, got {other:?}"),
-    }
-    match cnt_at {
-        Err(SessionError::Engine(CoreError::WorkerFailed { .. })) => {}
-        other => panic!("count_bytes_chunked_at: expected WorkerFailed, got {other:?}"),
-    }
-    match sel_auto {
-        Err(SessionError::Engine(CoreError::WorkerFailed { .. })) => {}
-        other => panic!("select_bytes_chunked: expected WorkerFailed, got {other:?}"),
-    }
-    match cnt_auto {
-        Err(SessionError::Engine(CoreError::WorkerFailed { .. })) => {}
-        other => panic!("count_bytes_chunked: expected WorkerFailed, got {other:?}"),
-    }
-}
+use stackless_streamed_trees::core::CompiledQuery;
 
 /// Mid-stream corruption sweep: every byte of the document, replaced by
 /// each of a handful of hostile bytes, through all engine paths — no

@@ -152,28 +152,3 @@ fn fused_agrees_on_fooling_families() {
         }
     }
 }
-
-#[test]
-fn fused_parallel_agrees_on_large_random_trees() {
-    // The data-parallel registerless path on documents big enough to be
-    // chunked, against the sequential fused pass and the event plan.
-    let g = gamma();
-    let dfa = compile_regex("a.*b", &g).unwrap();
-    let plan = CompiledQuery::compile(&dfa);
-    let fused = plan.fused(&g).unwrap();
-    for seed in [7u64, 8, 9] {
-        let tree =
-            stackless_streamed_trees::trees::generate::random_attachment(&g, 20_000, 0.4, seed);
-        let xml = write_document(&tree, &g);
-        let bytes = xml.as_bytes();
-        let want = fused.select_bytes(bytes).unwrap();
-        assert_eq!(plan.select(&markup_encode(&tree)), want);
-        for threads in [2usize, 3, 5] {
-            assert_eq!(fused.select_bytes_parallel(bytes, threads).unwrap(), want);
-            assert_eq!(
-                fused.count_bytes_parallel(bytes, threads).unwrap(),
-                want.len()
-            );
-        }
-    }
-}

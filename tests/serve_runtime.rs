@@ -1,7 +1,7 @@
 //! End-to-end tests of the supervised serving runtime: checkpoint
 //! failover under injected worker panics and stalls, admission control
-//! (shedding and budget rejection), graceful degradation, and typed
-//! terminal errors.
+//! (shedding and budget rejection), the one session path every
+//! single-query job takes, and typed terminal errors.
 //!
 //! The recovery contract under test: a request either completes with
 //! exactly the match set an uninterrupted run produces, or fails with a
@@ -12,12 +12,13 @@ use std::time::Duration;
 
 use stackless_streamed_trees::automata::{compile_regex, Alphabet};
 use stackless_streamed_trees::core::engine::FusedQuery;
-use stackless_streamed_trees::core::planner::CompiledQuery;
+use stackless_streamed_trees::core::planner::{CompiledQuery, Strategy};
 use stackless_streamed_trees::core::session::Limits;
 use stackless_streamed_trees::serve::{
     ChaosConfig, FailureCause, JobSpec, PathTaken, ServeConfig, ServeError, ServeRuntime,
     ServiceBudget,
 };
+use stackless_streamed_trees::trees::{generate, oracle, xml::write_document};
 
 /// Compiles `pattern` over `alphabet` down to the fused byte engine.
 fn fused(pattern: &str, alphabet: &str) -> Arc<FusedQuery> {
@@ -303,42 +304,34 @@ fn byte_budget_rejects_oversized_submissions_deterministically() {
 }
 
 #[test]
-fn pressure_degrades_chunked_requests_to_the_session_path() {
-    let q = fused("a.*b", "ab");
-    assert!(q.byte_dfa().is_some(), "registerless pattern expected");
-    let doc = doc_with_leaves(200); // > the 1KiB parallel threshold below
-    let clean = q.select_bytes(&doc).unwrap();
+fn large_registerless_jobs_run_the_checkpointed_session_path() {
+    // A non-streamed registerless job of at least 64 KiB, on a default
+    // config, runs the same checkpointed session path as every other
+    // single-query job, so a failover could resume it mid-document.
+    let g = Alphabet::of_chars("ab");
+    let dfa = compile_regex("a.*b", &g).unwrap();
+    let plan = CompiledQuery::compile(&dfa);
+    assert_eq!(plan.strategy(), Strategy::Registerless);
+    let q = Arc::new(plan.fused(&g).unwrap());
+    let tree = generate::random_attachment(&g, 12_000, 0.5, 1);
+    let doc = write_document(&tree, &g).into_bytes();
+    assert!(doc.len() >= 64 << 10, "document is {} bytes", doc.len());
+    let want: Vec<usize> = oracle::select(&tree, &dfa)
+        .into_iter()
+        .map(|v| v.index())
+        .collect();
+    assert!(!want.is_empty());
 
-    // Control: no pressure → the chunked fast path serves the request.
-    let calm = ServeConfig::default().with_queue_capacity(64);
-    let calm = ServeConfig {
-        parallel_threshold: 1 << 10,
-        degrade_at_percent: 100,
-        ..calm
-    };
-    let serve = ServeRuntime::start(calm);
-    let id = serve.submit(JobSpec::new(q.clone(), doc.clone())).unwrap();
+    let cfg = ServeConfig::default();
+    let cadence = cfg.checkpoint_every;
+    let serve = ServeRuntime::start(cfg);
+    let id = serve.submit(JobSpec::new(q, doc.clone())).unwrap();
     let report = serve.wait(id).unwrap();
-    assert_eq!(report.result.as_ref().unwrap(), &clean);
-    assert_eq!(report.path, PathTaken::Chunked);
-    assert!(!report.degraded);
-    serve.shutdown();
-
-    // Pressure: a zero degrade threshold marks the pool permanently
-    // under pressure, so the same request degrades to the session path.
-    let pressed = ServeConfig {
-        parallel_threshold: 1 << 10,
-        degrade_at_percent: 0,
-        ..ServeConfig::default()
-    };
-    let serve = ServeRuntime::start(pressed);
-    let id = serve.submit(JobSpec::new(q.clone(), doc.clone())).unwrap();
-    let report = serve.wait(id).unwrap();
-    assert_eq!(report.result.as_ref().unwrap(), &clean);
+    assert_eq!(report.result.as_ref().unwrap(), &want);
     assert_eq!(report.path, PathTaken::Session);
-    assert!(report.degraded);
+    assert_eq!(report.attempts, 1);
     let stats = serve.shutdown();
-    assert_eq!(stats.degraded, 1);
+    assert_eq!(stats.checkpoints as usize, doc.len().div_ceil(cadence));
 }
 
 /// Fake time for [`stall_detection_runs_on_the_injected_clock`]:

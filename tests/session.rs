@@ -170,7 +170,7 @@ fn buffered_engines_resume_is_a_typed_error() {
             other => panic!("expected ResumeUnsupported for {id}, got {other:?}"),
         }
     }
-    for id in [EngineId::Fused, EngineId::Chunked(7), EngineId::Session] {
+    for id in [EngineId::Fused, EngineId::Session, EngineId::Resumed(7)] {
         assert!(resume_support(id).is_ok(), "{id} resumes");
     }
 }
