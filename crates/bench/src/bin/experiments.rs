@@ -687,13 +687,11 @@ fn e19_throughput() {
     println!();
 }
 
-/// E19b: resource guards on the fused hot loop.  Byte/time budgets are
-/// checked once per window and depth/imbalance only on tag events.  For
-/// the DRA/stack engines the guards vanish in the register loop (the
-/// bar is a ≤2% regression); the indexed fused-DFA sweep is so lean
-/// that two depth compares per event cost a visible fraction of its
-/// throughput — the bar there is that the guarded loop beats both the
-/// scalar engine and the pre-index guarded loop (~300 MB/s) outright.
+/// E19b: resource guards on a whole in-memory document.  With any budget
+/// armed, `count_bytes_limited` runs the windowed session (byte/time
+/// budgets once per 64 KiB window, depth/imbalance as the guard policy
+/// on every tag event), so the guarded column prices the session path
+/// against the one-shot count.
 fn e19_limits_overhead() {
     println!("## E19b — fused throughput with resource guards (MB/s; overhead vs unguarded)");
     let g = gamma();

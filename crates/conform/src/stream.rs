@@ -113,7 +113,7 @@ pub fn run_stream_case(case: &Case, mutation: StreamMutation) -> Option<String> 
                     q
                 }
             }
-            Err(_) => return None, // composite table over budget: inert
+            Err(_) => return None, // composite state over budget: inert
         };
         let fused = query.fused();
         for &s in &chunks {

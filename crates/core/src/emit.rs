@@ -2,10 +2,10 @@
 //! [`MatchStream`] layer over [`EngineSession`].
 //!
 //! All three engine classes of the paper decide selection at a node's
-//! *open* event — the registerless composite table raises
-//! `FLAG_SELECTED` on the open transition, and the stackless/stack
-//! engines test `dfa.is_accepting` immediately after stepping on the
-//! open letter.  The byte offset of the open tag is therefore the
+//! *open* event — every evaluator returns its verdict from the open event
+//! itself: the registerless event table carries a selected bit on each
+//! open entry, and the stackless/stack evaluators test
+//! `dfa.is_accepting` immediately after stepping on the open letter.  The byte offset of the open tag is therefore the
 //! **earliest offset at which the match is certain** (Gienieczko–Muñoz–
 //! Murlak–Paperman, "Earliest query answering over streamed trees"),
 //! and the collected match list equals the emitted stream: no candidate

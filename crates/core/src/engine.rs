@@ -12,30 +12,27 @@
 //!    lookup disappears: the state *is* the partially-matched name.
 //!    Transitions carry event codes (`open a` / `close a` /
 //!    `self-closing a`) instead of producing `Tag` values.
-//! 2. [`ByteDfa`] — the product of the lexer with a registerless query
-//!    DFA over tags (Lemma 3.5): one dense `state × 256` table whose
-//!    single lookup per byte advances both the tokenizer and the query.
-//!    While the lexer component sits in its text state the engine skips
-//!    to the next `<` with a word-at-a-time scan, so byte-per-byte table
-//!    walking is only paid inside tags.
-//! 3. Fused depth-register and stack engines ([`FusedQuery`]): for HAR
-//!    queries the lexer drives the Lemma 3.8 register loop directly
-//!    (depth counter + register file in locals); for the pushdown
-//!    fallback it drives an explicit state stack.  Both evaluate in the
-//!    same single pass over bytes, without an intermediate event buffer.
+//! 2. One evaluator per automaton class, each a per-event update over
+//!    exactly the state its checkpoint carries: `DfaEval` for
+//!    registerless (Lemma 3.5) queries, whose [`ByteDfa`] tabulates the
+//!    query DFA per lexer *event* so a tag costs one load; `HarEval`,
+//!    the Lemma 3.8 depth-register loop (depth counter + register file);
+//!    and `StackEval`, the pushdown fallback's explicit state stack.
+//! 3. One driver, `structural::drive_window`, feeding lexer
+//!    events to a `Run` sink — an evaluator plus a `Policy` (count,
+//!    select, session emission with offsets, the depth guard), both by
+//!    value and monomorphized, so no entry point pays for another's work.
+//!
+//! The driver strides the SIMD structural index ([`crate::structural`])
+//! from tag to tag by default, falling back to the scalar lexer for any
+//! ambiguous span, so results are bitwise identical; forced via
+//! `ST_FORCE_SCALAR` / [`FusedQuery::set_force_scalar`], it steps the
+//! lexer byte by byte for the whole run instead.
 //!
 //! Error handling is two-tier: the hot loops only track *whether* the
-//! input is malformed (a dedicated error event / flag); on failure the
-//! cold path re-runs the `Scanner` to reproduce its exact diagnostic, so
-//! fused evaluation reports byte-identical errors to the event pipeline.
-//!
-//! On top of the composite tables sits the SIMD structural index
-//! ([`crate::structural`]): by default every engine strides from tag to
-//! tag over a vectorized `<`/`>`/hazard bitmap and only the certified
-//! events reach the per-event logic below; any ambiguous span falls back
-//! to the scalar lexer, so results are bitwise identical.  The scalar
-//! loops in this module are that fallback — and the whole-run path when
-//! forced via `ST_FORCE_SCALAR` / [`FusedQuery::set_force_scalar`].
+//! input is malformed (a dedicated error event); on failure the cold path
+//! re-runs the `Scanner` to reproduce its exact diagnostic, so fused
+//! evaluation reports byte-identical errors to the event pipeline.
 
 use std::collections::BTreeMap;
 
@@ -44,9 +41,10 @@ use st_trees::error::TreeError;
 use st_trees::xml::Scanner;
 
 use crate::error::CoreError;
-use crate::har::{HarMarkupProgram, MAX_CHAIN};
+use crate::har::{HarCore, HarMarkupProgram, MAX_CHAIN};
+use crate::session::{corrupt, SessionError};
 use crate::structural::{
-    force_scalar_env, structural_scan, EventSink, NameTable, ScanEnd, ScanStats,
+    drive_window, force_scalar_env, structural_scan, DriveEnd, EventSink, NameTable, ScanStats,
 };
 
 // ---------------------------------------------------------------------------
@@ -102,9 +100,9 @@ pub(crate) fn find_lt(bytes: &[u8], from: usize) -> usize {
 // TagLexer
 // ---------------------------------------------------------------------------
 
-/// Lexer state ids fixed across all alphabets.  `TEXT` must be 0 so that
-/// composite states `lexer * m + q` of a [`ByteDfa`] satisfy
-/// `state < m ⇔ lexer in TEXT` — the test the skip loop uses.
+/// Lexer state ids fixed across all alphabets.  `TEXT` is 0, so the
+/// registerless checkpoint's composite state `lexer * m + q` is below `m`
+/// exactly when the lexer sits in text.
 pub(crate) const TEXT: u16 = 0;
 const LEX_ERROR: u16 = 1;
 pub(crate) const LT: u16 = 2;
@@ -406,81 +404,28 @@ impl TagLexer {
         (self.next[idx], self.event[idx])
     }
 
-    /// Runs the lexer over `bytes`, invoking `on_event` for every fired
-    /// event code (`1..=3k`).  Returns `Err(())` if the input is
-    /// malformed — deliberately unit, the hot path carries no diagnostic;
-    /// callers re-scan with the `Scanner` to reproduce its exact error.
-    #[inline]
+    /// Runs the lexer byte by byte over `bytes` (the scalar branch of the
+    /// one driver), invoking `on_event` for every fired event code
+    /// (`1..=3k`).  Returns `Err(())` if the input is malformed —
+    /// deliberately unit, the hot path carries no diagnostic; callers
+    /// re-scan with the `Scanner` to reproduce its exact error.
     #[allow(clippy::result_unit_err)]
     pub fn scan(&self, bytes: &[u8], mut on_event: impl FnMut(u16)) -> Result<(), ()> {
-        let n = bytes.len();
-        let mut s = TEXT;
-        let mut i = 0usize;
-        while i < n {
-            if s == TEXT {
-                i = find_lt(bytes, i);
-                if i >= n {
-                    break;
-                }
-            }
-            let idx = ((s as usize) << 8) | bytes[i] as usize;
-            let ev = self.event[idx];
-            s = self.next[idx];
-            if ev != EV_NONE {
-                if ev == EV_ERROR {
-                    return Err(());
-                }
-                on_event(ev);
-            }
-            i += 1;
-        }
-        if s == TEXT {
-            Ok(())
-        } else {
-            Err(())
-        }
-    }
-
-    /// [`Self::scan`] with a controllable callback: `on_event` returns
-    /// `false` to stop the scan early (the guarded engines use this to
-    /// bail out the moment a resource budget is breached, before the
-    /// evaluator allocates anything proportional to the excess).  An
-    /// early stop is `Ok` — the caller owns the breach flag and decides
-    /// what it means; `Err(())` still means malformed input.
-    #[inline]
-    #[allow(clippy::result_unit_err)]
-    pub(crate) fn scan_ctl(
-        &self,
-        bytes: &[u8],
-        mut on_event: impl FnMut(u16) -> bool,
-    ) -> Result<(), ()> {
-        let n = bytes.len();
-        let mut s = TEXT;
-        let mut i = 0usize;
-        while i < n {
-            if s == TEXT {
-                i = find_lt(bytes, i);
-                if i >= n {
-                    break;
-                }
-            }
-            let idx = ((s as usize) << 8) | bytes[i] as usize;
-            let ev = self.event[idx];
-            s = self.next[idx];
-            if ev != EV_NONE {
-                if ev == EV_ERROR {
-                    return Err(());
-                }
-                if !on_event(ev) {
-                    return Ok(());
-                }
-            }
-            i += 1;
-        }
-        if s == TEXT {
-            Ok(())
-        } else {
-            Err(())
+        let mut lex = TEXT;
+        let mut sink = |ev, _| {
+            on_event(ev);
+            true
+        };
+        match drive_window(
+            self,
+            bytes,
+            &mut lex,
+            true,
+            &mut ScanStats::default(),
+            &mut sink,
+        ) {
+            DriveEnd::Done if lex == TEXT => Ok(()),
+            _ => Err(()),
         }
     }
 }
@@ -513,286 +458,197 @@ pub(crate) fn rescan_error(bytes: &[u8], alphabet: &Alphabet) -> TreeError {
 }
 
 // ---------------------------------------------------------------------------
+// Evaluators, policies, and the run sink
+// ---------------------------------------------------------------------------
+
+/// One automaton class's per-event update, written once.  The classes —
+/// the registerless DFA of Lemma 3.5 ([`DfaEval`]), the depth-register
+/// automaton of Lemma 3.8 ([`HarEval`]) and the pushdown fallback
+/// ([`StackEval`]) — differ only here; each holds exactly the state its
+/// checkpoint freezes.  Counting, selecting, emitting and guarding are
+/// [`Policy`] parameters of the one driver,
+/// [`crate::structural::drive_window`].
+pub(crate) trait Evaluator: Sized {
+    /// Applies lexer event `ev` (`1..=3k`); returns whether the node it
+    /// opens, if any, is selected (`false` for a plain close).
+    fn event(&mut self, ev: u16) -> bool;
+
+    /// Moves the state out for a by-value [`Run`], leaving a husk the
+    /// caller overwrites when the run hands the state back.
+    fn detach(&mut self) -> Self;
+}
+
+/// What a run does with the evaluated events.  Count, select, select with
+/// offsets (session emission) and the depth/imbalance guard are
+/// monomorphized policies, so each entry point pays only for its own.
+pub(crate) trait Policy {
+    /// Runs before the evaluator sees `ev` (fired by the byte at window
+    /// offset `pos`); `false` stops the scan with the evaluator untouched.
+    #[inline(always)]
+    fn admit(&mut self, _ev: u16, _pos: usize) -> bool {
+        true
+    }
+
+    /// Records the evaluated event; `sel` is the evaluator's verdict on
+    /// the node `ev` opens.
+    fn record(&mut self, ev: u16, sel: bool, pos: usize);
+}
+
+/// Whether event `ev` opens a node (open or self-closing), for `|Γ| = k`.
+#[inline(always)]
+pub(crate) fn opens(ev: u16, k: u16) -> bool {
+    (ev <= k) | (ev > 2 * k)
+}
+
+/// Decodes a lexer event code into `(open_letter, close_letter)`.
+#[inline]
+pub(crate) fn decode_event(ev: u16, k: usize) -> (Option<usize>, Option<usize>) {
+    if (ev as usize) <= 2 * k {
+        let t = ev as usize - 1;
+        if t < k {
+            (Some(t), None)
+        } else {
+            (None, Some(t - k))
+        }
+    } else {
+        let l = ev as usize - 1 - 2 * k;
+        (Some(l), Some(l))
+    }
+}
+
+/// The event sink of every single-query entry point: an evaluator and a
+/// policy, both held by value.  The driver's certified sweep is
+/// monomorphized per sink and inlines [`EventSink::event`] into its loop,
+/// where a struct behind one `&mut` register-promotes its scalar fields
+/// across iterations; closure-captured `&mut` locals round-trip through
+/// memory once per event, which doubles the per-tag cost.
+pub(crate) struct Run<E, P> {
+    pub(crate) eval: E,
+    pub(crate) policy: P,
+}
+
+impl<E: Evaluator, P: Policy> EventSink for Run<E, P> {
+    #[inline(always)]
+    fn event(&mut self, ev: u16, pos: usize) -> bool {
+        if !self.policy.admit(ev, pos) {
+            return false;
+        }
+        let sel = self.eval.event(ev);
+        self.policy.record(ev, sel, pos);
+        true
+    }
+}
+
+/// Counts selected nodes: one add per event on top of the evaluator.
+pub(crate) struct Count(pub(crate) usize);
+
+impl Policy for Count {
+    #[inline(always)]
+    fn record(&mut self, _ev: u16, sel: bool, _pos: usize) {
+        self.0 += sel as usize;
+    }
+}
+
+/// Collects the document-order ids of selected nodes.
+pub(crate) struct Select {
+    k: u16,
+    /// Document-order id the next opened node gets.
+    pub(crate) node: usize,
+    pub(crate) out: Vec<usize>,
+}
+
+impl Select {
+    /// A selection starting at node id `node`, appending to `out`.
+    pub(crate) fn new(k: usize, node: usize, out: Vec<usize>) -> Select {
+        Select {
+            k: k as u16,
+            node,
+            out,
+        }
+    }
+}
+
+impl Policy for Select {
+    #[inline(always)]
+    fn record(&mut self, ev: u16, sel: bool, _pos: usize) {
+        if sel {
+            self.out.push(self.node);
+        }
+        self.node += opens(ev, self.k) as usize;
+    }
+}
+
+/// Drives a whole in-memory document through `eval` under `policy`;
+/// `None` on malformed input (the caller re-scans for the diagnostic).
+/// `inline(never)` keeps each monomorphized loop out of the caller's
+/// per-class dispatch, where the combined register pressure would spill
+/// the hot state.
+#[inline(never)]
+fn run_document<E: Evaluator, P: Policy>(
+    lexer: &TagLexer,
+    bytes: &[u8],
+    force: bool,
+    stats: &mut ScanStats,
+    eval: E,
+    policy: P,
+) -> Option<P> {
+    let mut run = Run { eval, policy };
+    let mut lex = TEXT;
+    match drive_window(lexer, bytes, &mut lex, force, stats, &mut run) {
+        DriveEnd::Done if lex == TEXT => Some(run.policy),
+        _ => None,
+    }
+}
+
+// ---------------------------------------------------------------------------
 // ByteDfa: lexer × registerless query DFA
 // ---------------------------------------------------------------------------
 
-/// Flag bit: the transition opened a node.
-pub const FLAG_OPEN: u8 = 1;
-/// Flag bit: the node opened by the transition is selected.
-pub const FLAG_SELECTED: u8 = 2;
-/// Flag bit: the transition detected malformed input.
-pub const FLAG_ERROR: u8 = 4;
-/// Flag bit: the transition closed a node (set together with
-/// [`FLAG_OPEN`] on self-closing elements).  The resource-guarded loops
-/// use it to keep a depth counter without a second table.
-pub const FLAG_CLOSE: u8 = 8;
-
-/// The fully fused byte engine for registerless (Lemma 3.5) queries: the
-/// product of a [`TagLexer`] with a query DFA over the tag alphabet,
-/// tabulated densely as `state × 256` transitions plus per-transition
-/// flags.  One table lookup per byte tokenizes *and* evaluates.
+/// The fused byte engine for registerless (Lemma 3.5) queries: a
+/// [`TagLexer`] plus the query DFA over the tag alphabet, tabulated per
+/// lexer *event* so each certified tag advances the query with one load.
 pub struct ByteDfa {
-    /// Query-DFA state count; composite states are `lexer * m + q`.
+    /// Query-DFA state count; checkpoints freeze the composite state
+    /// `lexer * m + q`, which must fit the `u16` wire field.
     pub(crate) m: usize,
     k: usize,
+    /// Initial query state.
     pub(crate) start: u16,
-    /// `table[s * 256 + b]`: successor state in the low 16 bits, the
-    /// transition's flags in bits 16.. — one cache load per byte.  Padded
-    /// to a power-of-two length so the hot loops can index through a mask,
-    /// which lets the compiler drop the per-byte bounds check.
-    pub(crate) table: Vec<u32>,
     lexer: TagLexer,
-    /// Query transitions `qnext[q * 2k + t]`, kept factored for the
-    /// per-event step ([`Self::event_step`]) and the session's recovery
-    /// scan.
+    /// Query transitions `qnext[q * 2k + t]` and accepting flags: the
+    /// factored automaton, hashed into the checkpoint fingerprint.
     pub(crate) qnext: Vec<u16>,
     pub(crate) accepting: Vec<bool>,
-    pub(crate) alphabet: Alphabet,
     /// Row stride of [`Self::evtab`]: `3k + 1` (event codes are
     /// `1..=3k`; slot 0 is padding).
     estride: usize,
-    /// Packed per-*event* table for the structural-index stride:
-    /// `evtab[q * estride + ev]` holds the premultiplied successor row
-    /// offset (`q' * estride`, low 15 bits) and, in bit 15, whether the
-    /// event's open is selected (for self-closing events, selection of
-    /// the opened node).  One dependent load per certified tag instead
-    /// of one per byte.  `None` when `m * estride` exceeds the 15-bit
-    /// offset budget — the stride then decodes events through `qnext`.
-    evtab: Option<Vec<u16>>,
+    /// Packed per-event table: `evtab[q * estride + ev]` holds the
+    /// premultiplied successor row offset (`q' * estride`, low 31 bits)
+    /// and, in bit 31, whether the event's open is selected (for
+    /// self-closing events, selection of the opened node).  Padded to a
+    /// power-of-two length so the evaluator indexes through a mask,
+    /// which drops the per-tag bounds check from the hot loop.
+    evtab: Vec<u32>,
 }
 
-/// Sink for the packed-evtab count.  A struct with by-value scalar
-/// state rather than a closure: the certified sweep is monomorphized
-/// per sink and inlines [`EventSink::event`] into its loop, where a
-/// struct behind one `&mut` register-promotes `qoff`/`count` across
-/// iterations — closure-captured `&mut` locals round-trip through
-/// memory once per event, which doubles the per-tag cost.  The per-tag
-/// work is then the one dependent `evtab` load it is on paper, and the
-/// out-of-order core overlaps it with the next tag's certification.
-struct EvtabCount<'a> {
-    evtab: &'a [u16],
+/// The registerless evaluator: the query state as its premultiplied
+/// `evtab` row offset.  Its checkpoint freezes `lexer * m + q`.
+#[derive(Clone, Copy)]
+pub(crate) struct DfaEval<'a> {
+    evtab: &'a [u32],
     qoff: usize,
-    count: usize,
 }
 
-impl EventSink for EvtabCount<'_> {
-    #[inline]
-    fn event(&mut self, ev: u16, _pos: usize) -> bool {
-        let e = self.evtab[self.qoff + ev as usize];
-        self.count += (e >> 15) as usize;
-        self.qoff = (e & 0x7FFF) as usize;
-        true
+impl Evaluator for DfaEval<'_> {
+    #[inline(always)]
+    fn event(&mut self, ev: u16) -> bool {
+        let e = self.evtab[(self.qoff + ev as usize) & (self.evtab.len() - 1)];
+        self.qoff = (e & 0x7FFF_FFFF) as usize;
+        e >> 31 != 0
     }
-}
 
-/// [`EvtabCount`]'s twin over the factored tables, for engines whose
-/// packed offsets don't fit in 15 bits.
-struct StepCount<'a> {
-    dfa: &'a ByteDfa,
-    q: usize,
-    count: usize,
-}
-
-impl EventSink for StepCount<'_> {
-    #[inline]
-    fn event(&mut self, ev: u16, _pos: usize) -> bool {
-        let (q2, _, sel) = self.dfa.event_step(self.q, ev);
-        self.q = q2;
-        self.count += sel as usize;
-        true
-    }
-}
-
-/// Batch-draining sink for the packed-evtab select (document-order node
-/// ids of selected opens).
-struct EvtabSelect<'a> {
-    evtab: &'a [u16],
-    k: u16,
-    k2: u16,
-    qoff: usize,
-    out: Vec<usize>,
-    node: usize,
-}
-
-impl EventSink for EvtabSelect<'_> {
-    #[inline]
-    fn event(&mut self, ev: u16, _pos: usize) -> bool {
-        let e = self.evtab[self.qoff + ev as usize];
-        if e >> 15 != 0 {
-            self.out.push(self.node);
-        }
-        self.node += (ev <= self.k || ev > self.k2) as usize;
-        self.qoff = (e & 0x7FFF) as usize;
-        true
-    }
-}
-
-/// [`EvtabSelect`]'s twin over the factored tables.
-struct StepSelect<'a> {
-    dfa: &'a ByteDfa,
-    q: usize,
-    out: Vec<usize>,
-    node: usize,
-}
-
-impl EventSink for StepSelect<'_> {
-    #[inline]
-    fn event(&mut self, ev: u16, _pos: usize) -> bool {
-        let (q2, opened, sel) = self.dfa.event_step(self.q, ev);
-        self.q = q2;
-        if sel {
-            self.out.push(self.node);
-        }
-        self.node += opened as usize;
-        true
-    }
-}
-
-/// Depth-guarded count over the packed evtab: open/close are decoded
-/// branchlessly from the event number alone (`ev ≤ k` open, `ev > k`
-/// close, `ev > 2k` both), and the two breach compares are
-/// never-taken branches, so the guard costs two predictable compares on
-/// top of [`EvtabCount`]'s one dependent load.  Check order matches the
-/// scalar flag dispatch (open check before the selection tally, close
-/// check after) so a breach stops at the same event.
-struct GuardedEvtabCount<'a> {
-    evtab: &'a [u16],
-    k: u16,
-    k2: u16,
-    qoff: usize,
-    count: usize,
-    depth: i64,
-    max_depth: i64,
-    min_depth: i64,
-}
-
-impl EventSink for GuardedEvtabCount<'_> {
-    #[inline]
-    fn event(&mut self, ev: u16, _pos: usize) -> bool {
-        let e = self.evtab[self.qoff + ev as usize];
-        self.count += (e >> 15) as usize;
-        self.qoff = (e & 0x7FFF) as usize;
-        let opened = (ev <= self.k) | (ev > self.k2);
-        // Two never-taken branches (cheaper than or-ing the compares
-        // into one): a breach only has to be *detected* — the caller
-        // replays the document cold for the exact diagnostic — so the
-        // stop may trail the scalar twin's by part of an event as long
-        // as no breach is ever missed; `peak` covers the self-closing
-        // transient.
-        let peak = self.depth + i64::from(opened);
-        if peak > self.max_depth {
-            return false;
-        }
-        self.depth = peak - i64::from(ev > self.k);
-        if self.depth < self.min_depth {
-            return false;
-        }
-        true
-    }
-}
-
-/// [`GuardedEvtabCount`]'s select twin.
-struct GuardedEvtabSelect<'a> {
-    evtab: &'a [u16],
-    k: u16,
-    k2: u16,
-    qoff: usize,
-    out: Vec<usize>,
-    node: usize,
-    depth: i64,
-    max_depth: i64,
-    min_depth: i64,
-}
-
-impl EventSink for GuardedEvtabSelect<'_> {
-    #[inline]
-    fn event(&mut self, ev: u16, _pos: usize) -> bool {
-        let e = self.evtab[self.qoff + ev as usize];
-        if e >> 15 != 0 {
-            self.out.push(self.node);
-        }
-        self.qoff = (e & 0x7FFF) as usize;
-        let opened = (ev <= self.k) | (ev > self.k2);
-        self.node += opened as usize;
-        // See `GuardedEvtabCount`: detection-only, never-taken branches.
-        let peak = self.depth + i64::from(opened);
-        if peak > self.max_depth {
-            return false;
-        }
-        self.depth = peak - i64::from(ev > self.k);
-        if self.depth < self.min_depth {
-            return false;
-        }
-        true
-    }
-}
-
-/// [`GuardedEvtabCount`] over the factored tables, for engines whose
-/// packed offsets don't fit in 15 bits.
-struct GuardedCount<'a> {
-    dfa: &'a ByteDfa,
-    q: usize,
-    count: usize,
-    depth: i64,
-    max_depth: i64,
-    min_depth: i64,
-}
-
-impl EventSink for GuardedCount<'_> {
-    #[inline]
-    fn event(&mut self, ev: u16, _pos: usize) -> bool {
-        let (q2, opened, sel) = self.dfa.event_step(self.q, ev);
-        self.q = q2;
-        if opened {
-            self.depth += 1;
-            if self.depth > self.max_depth {
-                return false;
-            }
-        }
-        self.count += sel as usize;
-        if ev as usize > self.dfa.k {
-            self.depth -= 1;
-            if self.depth < self.min_depth {
-                return false;
-            }
-        }
-        true
-    }
-}
-
-/// [`GuardedCount`]'s select twin.
-struct GuardedSelect<'a> {
-    dfa: &'a ByteDfa,
-    q: usize,
-    out: Vec<usize>,
-    node: usize,
-    depth: i64,
-    max_depth: i64,
-    min_depth: i64,
-}
-
-impl EventSink for GuardedSelect<'_> {
-    #[inline]
-    fn event(&mut self, ev: u16, _pos: usize) -> bool {
-        let (q2, opened, sel) = self.dfa.event_step(self.q, ev);
-        self.q = q2;
-        if opened {
-            self.depth += 1;
-            if self.depth > self.max_depth {
-                return false;
-            }
-        }
-        if sel {
-            self.out.push(self.node);
-        }
-        self.node += opened as usize;
-        if ev as usize > self.dfa.k {
-            self.depth -= 1;
-            if self.depth < self.min_depth {
-                return false;
-            }
-        }
-        true
+    fn detach(&mut self) -> Self {
+        *self
     }
 }
 
@@ -805,8 +661,8 @@ impl ByteDfa {
     /// # Errors
     ///
     /// [`CoreError::MalformedTable`] if the alphabet does not match the
-    /// DFA, and [`CoreError::FusedTooLarge`] if the composite table would
-    /// exceed the `u16` state budget.
+    /// DFA, and [`CoreError::FusedTooLarge`] if the composite state
+    /// `lexer * m + q` would exceed the `u16` checkpoint field.
     pub fn new(dfa: &Dfa, alphabet: &Alphabet) -> Result<ByteDfa, CoreError> {
         let k = alphabet.len();
         if dfa.n_letters() != 2 * k {
@@ -832,103 +688,60 @@ impl ByteDfa {
             .map(|(q, t)| dfa.step(q, t) as u16)
             .collect();
         let accepting: Vec<bool> = (0..m).map(|q| dfa.is_accepting(q)).collect();
-
-        // Padding entries are unreachable (states stay < n_composite);
-        // fill them with error transitions so any bug fails loudly.
-        let mut table = vec![
-            ((FLAG_ERROR as u32) << 16) | (LEX_ERROR as usize * m) as u32;
-            (n_composite * 256).next_power_of_two()
-        ];
-        for lex in 0..lexer.n_states() {
-            for q in 0..m {
-                let s = lex * m + q;
-                for b in 0..=255u8 {
-                    let (lex2, ev) = lexer.step(lex as u16, b);
-                    let (q2, f) = match ev {
-                        EV_NONE => (q, 0u8),
-                        EV_ERROR => (0, FLAG_ERROR),
-                        ev if (ev as usize) <= 2 * k => {
-                            let t = ev as usize - 1;
-                            let q2 = qnext[q * 2 * k + t] as usize;
-                            let f = if t < k {
-                                FLAG_OPEN | if accepting[q2] { FLAG_SELECTED } else { 0 }
-                            } else {
-                                FLAG_CLOSE
-                            };
-                            (q2, f)
-                        }
-                        ev => {
-                            // Self-closing: open then close in one byte.
-                            let l = ev as usize - 1 - 2 * k;
-                            let q1 = qnext[q * 2 * k + l] as usize;
-                            let q2 = qnext[q1 * 2 * k + k + l] as usize;
-                            let f = FLAG_OPEN
-                                | FLAG_CLOSE
-                                | if accepting[q1] { FLAG_SELECTED } else { 0 };
-                            (q2, f)
-                        }
-                    };
-                    let idx = s * 256 + b as usize;
-                    table[idx] = ((f as u32) << 16) | (lex2 as usize * m + q2) as u32;
-                }
+        let estride = 3 * k + 1;
+        // Padding entries are unreachable (offsets stay < m * estride).
+        let mut evtab = vec![0u32; (m * estride).next_power_of_two()];
+        for q in 0..m {
+            for l in 0..k {
+                let qo = qnext[q * 2 * k + l] as usize;
+                let qc = qnext[q * 2 * k + k + l] as usize;
+                let qs = qnext[qo * 2 * k + k + l] as usize;
+                let sel = (accepting[qo] as u32) << 31;
+                evtab[q * estride + 1 + l] = (qo * estride) as u32 | sel;
+                evtab[q * estride + 1 + k + l] = (qc * estride) as u32;
+                evtab[q * estride + 1 + 2 * k + l] = (qs * estride) as u32 | sel;
             }
         }
-        let estride = 3 * k + 1;
-        let evtab = if m * estride <= 1 << 15 {
-            let mut t = vec![0u16; m * estride];
-            for q in 0..m {
-                for l in 0..k {
-                    let qo = qnext[q * 2 * k + l] as usize;
-                    let qc = qnext[q * 2 * k + k + l] as usize;
-                    let qs = qnext[qo * 2 * k + k + l] as usize;
-                    let sel = (accepting[qo] as u16) << 15;
-                    t[q * estride + 1 + l] = (qo * estride) as u16 | sel;
-                    t[q * estride + 1 + k + l] = (qc * estride) as u16;
-                    t[q * estride + 1 + 2 * k + l] = (qs * estride) as u16 | sel;
-                }
-            }
-            Some(t)
-        } else {
-            None
-        };
         Ok(ByteDfa {
             m,
             k,
-            start: dfa.init() as u16, // TEXT * m + init
-            table,
+            start: dfa.init() as u16,
             lexer,
             qnext,
             accepting,
-            alphabet: alphabet.clone(),
             estride,
             evtab,
         })
     }
 
-    /// Applies a lexer event code (`1..=3k`) to a query state:
-    /// `(next_q, opened, open_selected)`.  The factored-table twin of
-    /// the packed [`Self::evtab`] row, used where the packed offsets
-    /// don't fit or extra per-event state (depth guards) is tracked
-    /// anyway.
-    #[inline]
-    pub(crate) fn event_step(&self, q: usize, ev: u16) -> (usize, bool, bool) {
-        let k = self.k;
-        let k2 = 2 * k;
-        let ev = ev as usize;
-        if ev <= k2 {
-            let t = ev - 1;
-            let q2 = self.qnext[q * k2 + t] as usize;
-            if t < k {
-                (q2, true, self.accepting[q2])
-            } else {
-                (q2, false, false)
-            }
-        } else {
-            let l = ev - 1 - k2;
-            let q1 = self.qnext[q * k2 + l] as usize;
-            let q2 = self.qnext[q1 * k2 + k + l] as usize;
-            (q2, true, self.accepting[q1])
+    /// The evaluator at the query's initial state.
+    pub(crate) fn evaluator(&self) -> DfaEval<'_> {
+        DfaEval {
+            evtab: &self.evtab,
+            qoff: self.start as usize * self.estride,
         }
+    }
+
+    /// The composite state `lex * m + q` a checkpoint freezes.
+    pub(crate) fn composite(&self, lex: u16, eval: &DfaEval<'_>) -> u16 {
+        (lex as usize * self.m + eval.qoff / self.estride) as u16
+    }
+
+    /// Splits a restored composite state into lexer state and evaluator.
+    ///
+    /// # Errors
+    ///
+    /// [`SessionError::Checkpoint`] if the state is out of range.
+    pub(crate) fn restore(&self, composite: u16) -> Result<(u16, DfaEval<'_>), SessionError> {
+        let s = composite as usize;
+        if s >= self.n_states() {
+            return Err(corrupt(format!("composite state {s} out of range")));
+        }
+        let eval = DfaEval {
+            evtab: &self.evtab,
+            qoff: (s % self.m) * self.estride,
+        };
+        Ok(((s / self.m) as u16, eval))
     }
 
     /// |Γ|.
@@ -946,39 +759,6 @@ impl ByteDfa {
         &self.lexer
     }
 
-    /// Forces (or re-enables) the scalar byte path for this engine; see
-    /// [`FusedQuery::set_force_scalar`].
-    pub fn set_force_scalar(&mut self, on: bool) {
-        self.lexer.set_force_scalar(on);
-    }
-
-    /// Counts selected nodes in a single pass over `bytes`: the
-    /// structural-index stride by default, the scalar composite-table
-    /// loop when the scalar path is forced.
-    ///
-    /// # Errors
-    ///
-    /// The `Scanner`'s diagnostic if the document is malformed.
-    pub fn count_bytes(&self, bytes: &[u8]) -> Result<usize, TreeError> {
-        self.count_bytes_opts(bytes, &mut ScanStats::default(), false)
-    }
-
-    /// Dispatches between the indexed stride and the scalar loop;
-    /// `force` is the caller's (per-run) scalar override, OR-ed with the
-    /// engine's own flag.
-    pub(crate) fn count_bytes_opts(
-        &self,
-        bytes: &[u8],
-        stats: &mut ScanStats,
-        force: bool,
-    ) -> Result<usize, TreeError> {
-        if force || self.lexer.force_scalar {
-            self.count_bytes_scalar(bytes)
-        } else {
-            self.count_bytes_indexed(bytes, stats)
-        }
-    }
-
     /// Runs the structural scan with a sink that only counts events —
     /// the E22 probe that prices certification + striding without any
     /// query-table work.
@@ -993,424 +773,6 @@ impl ByteDfa {
         });
         n
     }
-
-    /// The indexed two-pass count: certified tags advance the query
-    /// through one packed `evtab` load per *tag* (or the factored
-    /// tables when the packed offsets don't fit).
-    #[inline(never)]
-    fn count_bytes_indexed(&self, bytes: &[u8], stats: &mut ScanStats) -> Result<usize, TreeError> {
-        let (count, end) = if let Some(evtab) = self.evtab.as_deref() {
-            let mut sink = EvtabCount {
-                evtab,
-                qoff: self.start as usize * self.estride,
-                count: 0,
-            };
-            let end = structural_scan(&self.lexer, bytes, TEXT, stats, &mut sink);
-            (sink.count, end)
-        } else {
-            let mut sink = StepCount {
-                dfa: self,
-                q: self.start as usize,
-                count: 0,
-            };
-            let end = structural_scan(&self.lexer, bytes, TEXT, stats, &mut sink);
-            (sink.count, end)
-        };
-        match end {
-            ScanEnd::Complete { lex } if lex == TEXT => Ok(count),
-            _ => Err(rescan_error(bytes, &self.alphabet)),
-        }
-    }
-
-    /// The per-byte composite-table count (the forced-scalar path and
-    /// the reference the structural index is differentially tested
-    /// against).
-    #[doc(hidden)]
-    pub fn count_bytes_scalar(&self, bytes: &[u8]) -> Result<usize, TreeError> {
-        let n = bytes.len();
-        let m = self.m;
-        let table = self.table.as_slice();
-        let mask = table.len() - 1;
-        let mut s = self.start as usize;
-        let mut count = 0usize;
-        let mut i = 0usize;
-        while i < n {
-            if s < m {
-                i = find_lt(bytes, i);
-                if i >= n {
-                    break;
-                }
-                // TEXT --'<'--> LT (lexer state 2) with no event: a
-                // constant composite step, no table load needed.  A
-                // trailing `<` leaves `s ≥ m`, caught after the loop.
-                s += LT as usize * m;
-                i += 1;
-                if i >= n {
-                    break;
-                }
-            }
-            let p = table[((s << 8) | bytes[i] as usize) & mask];
-            s = (p & 0xFFFF) as usize;
-            if p >> 16 != 0 {
-                let f = (p >> 16) as u8;
-                if f & FLAG_ERROR != 0 {
-                    return Err(rescan_error(bytes, &self.alphabet));
-                }
-                count += (f >> 1) as usize & 1;
-            }
-            i += 1;
-        }
-        if s < m {
-            Ok(count)
-        } else {
-            Err(rescan_error(bytes, &self.alphabet))
-        }
-    }
-
-    /// [`Self::count_bytes`] with the depth/imbalance budgets tracked
-    /// inline from the open/close flags the composite table already
-    /// carries — the O(1)-state engine has no depth of its own, so the
-    /// guard rides in the flag-dispatch branch that only event bytes
-    /// take.  Returns `None` on a breach *or* a parse error; the caller
-    /// re-runs the windowed session cold to reproduce the exact
-    /// diagnostic (neither is the throughput case).  `inline(never)`
-    /// keeps the loop out of the caller's multi-backend dispatch body.
-    pub(crate) fn count_bytes_guarded(
-        &self,
-        bytes: &[u8],
-        max_depth: i64,
-        min_depth: i64,
-        stats: &mut ScanStats,
-        force: bool,
-    ) -> Option<usize> {
-        if force || self.lexer.force_scalar {
-            self.count_bytes_guarded_scalar(bytes, max_depth, min_depth)
-        } else {
-            self.count_bytes_guarded_indexed(bytes, max_depth, min_depth, stats)
-        }
-    }
-
-    /// Indexed guarded count: the depth guard rides per event exactly as
-    /// in the scalar flag-dispatch branch (open check before the
-    /// selection tally, close check after), so breach detection happens
-    /// at the same event.
-    #[inline(never)]
-    fn count_bytes_guarded_indexed(
-        &self,
-        bytes: &[u8],
-        max_depth: i64,
-        min_depth: i64,
-        stats: &mut ScanStats,
-    ) -> Option<usize> {
-        let (count, end) = if let Some(evtab) = self.evtab.as_deref() {
-            let mut sink = GuardedEvtabCount {
-                evtab,
-                k: self.k as u16,
-                k2: 2 * self.k as u16,
-                qoff: self.start as usize * self.estride,
-                count: 0,
-                depth: 0,
-                max_depth,
-                min_depth,
-            };
-            let end = structural_scan(&self.lexer, bytes, TEXT, stats, &mut sink);
-            (sink.count, end)
-        } else {
-            let mut sink = GuardedCount {
-                dfa: self,
-                q: self.start as usize,
-                count: 0,
-                depth: 0,
-                max_depth,
-                min_depth,
-            };
-            let end = structural_scan(&self.lexer, bytes, TEXT, stats, &mut sink);
-            (sink.count, end)
-        };
-        match end {
-            ScanEnd::Complete { lex } if lex == TEXT => Some(count),
-            _ => None,
-        }
-    }
-
-    #[inline(never)]
-    fn count_bytes_guarded_scalar(
-        &self,
-        bytes: &[u8],
-        max_depth: i64,
-        min_depth: i64,
-    ) -> Option<usize> {
-        let n = bytes.len();
-        let m = self.m;
-        let table = self.table.as_slice();
-        let mask = table.len() - 1;
-        let mut s = self.start as usize;
-        let mut count = 0usize;
-        let mut depth: i64 = 0;
-        let mut i = 0usize;
-        while i < n {
-            if s < m {
-                i = find_lt(bytes, i);
-                if i >= n {
-                    break;
-                }
-                s += LT as usize * m;
-                i += 1;
-                if i >= n {
-                    break;
-                }
-            }
-            let p = table[((s << 8) | bytes[i] as usize) & mask];
-            s = (p & 0xFFFF) as usize;
-            if p >> 16 != 0 {
-                let f = (p >> 16) as u8;
-                if f & FLAG_ERROR != 0 {
-                    return None;
-                }
-                if f & FLAG_OPEN != 0 {
-                    depth += 1;
-                    if depth > max_depth {
-                        return None;
-                    }
-                }
-                count += (f >> 1) as usize & 1;
-                if f & FLAG_CLOSE != 0 {
-                    depth -= 1;
-                    if depth < min_depth {
-                        return None;
-                    }
-                }
-            }
-            i += 1;
-        }
-        if s < m {
-            Some(count)
-        } else {
-            None
-        }
-    }
-
-    /// Guarded variant of [`Self::select_bytes`]; see
-    /// [`Self::count_bytes_guarded`] for the contract.
-    pub(crate) fn select_bytes_guarded(
-        &self,
-        bytes: &[u8],
-        max_depth: i64,
-        min_depth: i64,
-        stats: &mut ScanStats,
-        force: bool,
-    ) -> Option<Vec<usize>> {
-        if force || self.lexer.force_scalar {
-            self.select_bytes_guarded_scalar(bytes, max_depth, min_depth)
-        } else {
-            self.select_bytes_guarded_indexed(bytes, max_depth, min_depth, stats)
-        }
-    }
-
-    #[inline(never)]
-    fn select_bytes_guarded_indexed(
-        &self,
-        bytes: &[u8],
-        max_depth: i64,
-        min_depth: i64,
-        stats: &mut ScanStats,
-    ) -> Option<Vec<usize>> {
-        let (out, end) = if let Some(evtab) = self.evtab.as_deref() {
-            let mut sink = GuardedEvtabSelect {
-                evtab,
-                k: self.k as u16,
-                k2: 2 * self.k as u16,
-                qoff: self.start as usize * self.estride,
-                out: Vec::new(),
-                node: 0,
-                depth: 0,
-                max_depth,
-                min_depth,
-            };
-            let end = structural_scan(&self.lexer, bytes, TEXT, stats, &mut sink);
-            (sink.out, end)
-        } else {
-            let mut sink = GuardedSelect {
-                dfa: self,
-                q: self.start as usize,
-                out: Vec::new(),
-                node: 0,
-                depth: 0,
-                max_depth,
-                min_depth,
-            };
-            let end = structural_scan(&self.lexer, bytes, TEXT, stats, &mut sink);
-            (sink.out, end)
-        };
-        match end {
-            ScanEnd::Complete { lex } if lex == TEXT => Some(out),
-            _ => None,
-        }
-    }
-
-    #[inline(never)]
-    fn select_bytes_guarded_scalar(
-        &self,
-        bytes: &[u8],
-        max_depth: i64,
-        min_depth: i64,
-    ) -> Option<Vec<usize>> {
-        let n = bytes.len();
-        let m = self.m;
-        let table = self.table.as_slice();
-        let mask = table.len() - 1;
-        let mut s = self.start as usize;
-        let mut out = Vec::new();
-        let mut node = 0usize;
-        let mut depth: i64 = 0;
-        let mut i = 0usize;
-        while i < n {
-            if s < m {
-                i = find_lt(bytes, i);
-                if i >= n {
-                    break;
-                }
-                s += LT as usize * m;
-                i += 1;
-                if i >= n {
-                    break;
-                }
-            }
-            let p = table[((s << 8) | bytes[i] as usize) & mask];
-            s = (p & 0xFFFF) as usize;
-            if p >> 16 != 0 {
-                let f = (p >> 16) as u8;
-                if f & FLAG_ERROR != 0 {
-                    return None;
-                }
-                if f & FLAG_OPEN != 0 {
-                    depth += 1;
-                    if depth > max_depth {
-                        return None;
-                    }
-                }
-                if f & FLAG_SELECTED != 0 {
-                    out.push(node);
-                }
-                node += f as usize & 1;
-                if f & FLAG_CLOSE != 0 {
-                    depth -= 1;
-                    if depth < min_depth {
-                        return None;
-                    }
-                }
-            }
-            i += 1;
-        }
-        if s < m {
-            Some(out)
-        } else {
-            None
-        }
-    }
-
-    /// Document-order ids of selected nodes, in a single pass over
-    /// `bytes` (pre-selection semantics, identical to
-    /// [`crate::planner::CompiledQuery::select`] over the scanned events).
-    /// Strides the structural index unless the scalar path is forced.
-    ///
-    /// # Errors
-    ///
-    /// The `Scanner`'s diagnostic if the document is malformed.
-    pub fn select_bytes(&self, bytes: &[u8]) -> Result<Vec<usize>, TreeError> {
-        self.select_bytes_opts(bytes, &mut ScanStats::default(), false)
-    }
-
-    pub(crate) fn select_bytes_opts(
-        &self,
-        bytes: &[u8],
-        stats: &mut ScanStats,
-        force: bool,
-    ) -> Result<Vec<usize>, TreeError> {
-        if force || self.lexer.force_scalar {
-            self.select_bytes_scalar(bytes)
-        } else {
-            self.select_bytes_indexed(bytes, stats)
-        }
-    }
-
-    #[inline(never)]
-    fn select_bytes_indexed(
-        &self,
-        bytes: &[u8],
-        stats: &mut ScanStats,
-    ) -> Result<Vec<usize>, TreeError> {
-        let (out, end) = if let Some(evtab) = self.evtab.as_deref() {
-            let mut sink = EvtabSelect {
-                evtab,
-                k: self.k as u16,
-                k2: 2 * self.k as u16,
-                qoff: self.start as usize * self.estride,
-                out: Vec::new(),
-                node: 0,
-            };
-            let end = structural_scan(&self.lexer, bytes, TEXT, stats, &mut sink);
-            (sink.out, end)
-        } else {
-            let mut sink = StepSelect {
-                dfa: self,
-                q: self.start as usize,
-                out: Vec::new(),
-                node: 0,
-            };
-            let end = structural_scan(&self.lexer, bytes, TEXT, stats, &mut sink);
-            (sink.out, end)
-        };
-        match end {
-            ScanEnd::Complete { lex } if lex == TEXT => Ok(out),
-            _ => Err(rescan_error(bytes, &self.alphabet)),
-        }
-    }
-
-    /// Scalar twin of [`Self::select_bytes`]; see
-    /// [`Self::count_bytes_scalar`].
-    #[doc(hidden)]
-    pub fn select_bytes_scalar(&self, bytes: &[u8]) -> Result<Vec<usize>, TreeError> {
-        let n = bytes.len();
-        let m = self.m;
-        let table = self.table.as_slice();
-        let mask = table.len() - 1;
-        let mut s = self.start as usize;
-        let mut out = Vec::new();
-        let mut node = 0usize;
-        let mut i = 0usize;
-        while i < n {
-            if s < m {
-                i = find_lt(bytes, i);
-                if i >= n {
-                    break;
-                }
-                s += LT as usize * m;
-                i += 1;
-                if i >= n {
-                    break;
-                }
-            }
-            let p = table[((s << 8) | bytes[i] as usize) & mask];
-            s = (p & 0xFFFF) as usize;
-            if p >> 16 != 0 {
-                let f = (p >> 16) as u8;
-                if f & FLAG_ERROR != 0 {
-                    return Err(rescan_error(bytes, &self.alphabet));
-                }
-                if f & FLAG_SELECTED != 0 {
-                    out.push(node);
-                }
-                node += f as usize & 1;
-            }
-            i += 1;
-        }
-        if s < m {
-            Ok(out)
-        } else {
-            Err(rescan_error(bytes, &self.alphabet))
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1418,194 +780,185 @@ impl ByteDfa {
 // ---------------------------------------------------------------------------
 
 /// Lemma 3.8 evaluation driven directly by the byte lexer: the depth
-/// counter, register file, and SCC chain live in locals, and the only
-/// per-event work beyond the DFA step is one register comparison — the
-/// paper's "transitions at very low CPU cost", now starting from bytes.
+/// counter, register file, and SCC chain ride in the [`HarEval`] held by
+/// value in the run sink, and the only per-event work beyond the DFA step
+/// is one register comparison — the paper's "transitions at very low CPU
+/// cost", now starting from bytes.
 pub(crate) struct FusedHar {
     pub(crate) lexer: TagLexer,
     pub(crate) program: HarMarkupProgram,
 }
 
 impl FusedHar {
-    /// Single pass over bytes; `on_open(node, selected)` per opened node.
-    /// Certified tags come straight off the structural index (scalar
-    /// when forced); either driver feeds the same event closure.
-    fn run(
-        &self,
-        bytes: &[u8],
-        stats: &mut ScanStats,
-        force: bool,
-        mut on_open: impl FnMut(usize, bool),
-    ) -> Result<(), ()> {
-        let core = self.program.core();
-        let dfa = core.dfa();
-        let component = core.component();
-        let rewind = core.rewind_markup();
-        let k = self.lexer.k();
-        let k2 = 2 * k;
+    /// The evaluator at the program's initial state.
+    pub(crate) fn evaluator(&self) -> HarEval<'_> {
+        HarEval::new(self.program.core())
+    }
+}
 
-        let mut regs = [0i64; MAX_CHAIN];
-        let mut chain = [0u16; MAX_CHAIN];
-        let mut chain_len = 0usize;
-        let mut current = dfa.init();
-        let mut dead = false;
-        let mut depth: i64 = 0;
-        let mut node = 0usize;
+/// The Lemma 3.8 run: current state, dead flag, depth, and the SCC chain
+/// with its depth registers.  Its checkpoint freezes exactly these
+/// (depth in the checkpoint header).
+#[derive(Clone, Copy)]
+pub(crate) struct HarEval<'a> {
+    dfa: &'a Dfa,
+    component: &'a [usize],
+    rewind: &'a [Option<usize>],
+    k: usize,
+    depth: i64,
+    pub(crate) current: usize,
+    pub(crate) dead: bool,
+    chain_len: usize,
+    chain: [u16; MAX_CHAIN],
+    regs: [i64; MAX_CHAIN],
+}
 
-        let mut handle = |ev: u16| {
-            let (open_l, close_l) = if (ev as usize) <= k2 {
-                let t = ev as usize - 1;
-                if t < k {
-                    (Some(t), None)
-                } else {
-                    (None, Some(t - k))
-                }
-            } else {
-                let l = ev as usize - 1 - k2;
-                (Some(l), Some(l))
-            };
-            if let Some(l) = open_l {
-                depth += 1;
-                if !dead {
-                    let next = dfa.step(current, l);
-                    if component[next] != component[current] {
-                        chain[chain_len] = current as u16;
-                        regs[chain_len] = depth;
-                        chain_len += 1;
-                    }
-                    current = next;
-                    on_open(node, dfa.is_accepting(current));
-                } else {
-                    on_open(node, false);
-                }
-                node += 1;
-            }
-            if let Some(l) = close_l {
-                depth -= 1;
-                if !dead {
-                    if chain_len > 0 && regs[chain_len - 1] > depth {
-                        chain_len -= 1;
-                        current = chain[chain_len] as usize;
-                    } else {
-                        match rewind[current * k + l] {
-                            Some(p2) => current = p2,
-                            None => dead = true,
-                        }
-                    }
-                }
-            }
-        };
-        if force || self.lexer.force_scalar() {
-            return self.lexer.scan(bytes, &mut handle);
-        }
-        match structural_scan(&self.lexer, bytes, TEXT, stats, &mut |ev, _| {
-            handle(ev);
-            true
-        }) {
-            ScanEnd::Complete { lex } if lex == TEXT => Ok(()),
-            ScanEnd::Stopped => unreachable!("unguarded sink never stops"),
-            _ => Err(()),
+impl<'a> HarEval<'a> {
+    /// A fresh run of `core` at depth 0.
+    pub(crate) fn new(core: &'a HarCore) -> HarEval<'a> {
+        HarEval {
+            dfa: core.dfa(),
+            component: core.component(),
+            rewind: core.rewind_markup(),
+            k: core.dfa().n_letters(),
+            depth: 0,
+            current: core.dfa().init(),
+            dead: false,
+            chain_len: 0,
+            chain: [0; MAX_CHAIN],
+            regs: [0; MAX_CHAIN],
         }
     }
 
-    /// [`Self::run`] with the depth and imbalance budgets checked inline.
-    /// Returns `Ok(true)` on a clean complete pass, `Ok(false)` the
-    /// moment a budget is breached — the scan stops before the evaluator
-    /// does any further work, and the caller re-runs the windowed session
-    /// cold to reproduce the exact diagnostic (breaches are not the
-    /// throughput case).  `Err(())` still means malformed input.
+    /// Rebuilds a frozen run — the one restore check both the
+    /// single-query and the query-set resume use.
     ///
-    /// Structured exactly like [`Self::run`]: the scan-closure shape is
-    /// what keeps the register file and depth counter in machine
-    /// registers, and the two extra compares per *event* (not per byte)
-    /// are in the noise next to the DFA step.  `inline(never)` keeps the
-    /// loop out of the caller's multi-backend dispatch body, where the
-    /// combined register pressure would spill the hot state.
-    #[inline(never)]
-    pub(crate) fn run_guarded(
-        &self,
-        bytes: &[u8],
-        max_depth: i64,
-        min_depth: i64,
-        stats: &mut ScanStats,
-        force: bool,
-        mut on_open: impl FnMut(usize, bool),
-    ) -> Result<bool, ()> {
-        let core = self.program.core();
-        let dfa = core.dfa();
-        let component = core.component();
-        let rewind = core.rewind_markup();
-        let k = self.lexer.k();
-        let k2 = 2 * k;
-
-        let mut regs = [0i64; MAX_CHAIN];
-        let mut chain = [0u16; MAX_CHAIN];
-        let mut chain_len = 0usize;
-        let mut current = dfa.init();
-        let mut dead = false;
-        let mut depth: i64 = 0;
-        let mut node = 0usize;
-        let mut breached = false;
-
-        let mut handle = |ev: u16| {
-            let (open_l, close_l) = if (ev as usize) <= k2 {
-                let t = ev as usize - 1;
-                if t < k {
-                    (Some(t), None)
-                } else {
-                    (None, Some(t - k))
-                }
-            } else {
-                let l = ev as usize - 1 - k2;
-                (Some(l), Some(l))
-            };
-            if let Some(l) = open_l {
-                depth += 1;
-                if depth > max_depth {
-                    breached = true;
-                    return false;
-                }
-                if !dead {
-                    let next = dfa.step(current, l);
-                    if component[next] != component[current] {
-                        chain[chain_len] = current as u16;
-                        regs[chain_len] = depth;
-                        chain_len += 1;
-                    }
-                    current = next;
-                    on_open(node, dfa.is_accepting(current));
-                } else {
-                    on_open(node, false);
-                }
-                node += 1;
-            }
-            if let Some(l) = close_l {
-                depth -= 1;
-                if depth < min_depth {
-                    breached = true;
-                    return false;
-                }
-                if !dead {
-                    if chain_len > 0 && regs[chain_len - 1] > depth {
-                        chain_len -= 1;
-                        current = chain[chain_len] as usize;
-                    } else {
-                        match rewind[current * k + l] {
-                            Some(p2) => current = p2,
-                            None => dead = true,
-                        }
-                    }
-                }
-            }
-            true
-        };
-        if force || self.lexer.force_scalar() {
-            return self.lexer.scan_ctl(bytes, &mut handle).map(|()| !breached);
+    /// # Errors
+    ///
+    /// [`SessionError::Checkpoint`] if `current` or a chain state is not
+    /// a state of the automaton, or if the chain is so long that a later
+    /// push could overflow the [`MAX_CHAIN`] register file.
+    pub(crate) fn restore(
+        core: &'a HarCore,
+        depth: i64,
+        current: usize,
+        dead: bool,
+        chain: &[(u16, i64)],
+    ) -> Result<HarEval<'a>, SessionError> {
+        let n = core.dfa().n_states();
+        if current >= n || chain.len() > MAX_CHAIN || chain.iter().any(|&(s, _)| s as usize >= n) {
+            return Err(corrupt("stackless state out of range"));
         }
-        match structural_scan(&self.lexer, bytes, TEXT, stats, &mut |ev, _| handle(ev)) {
-            ScanEnd::Complete { lex } if lex == TEXT => Ok(!breached),
-            ScanEnd::Stopped => Ok(!breached),
-            _ => Err(()),
+        // A run in state `s` with `i` chain entries can still push
+        // `headroom[s]` more (one per SCC it leaves); every state a pop
+        // can return to must keep that within the register file.
+        let headroom = push_headroom(core);
+        let fits = |i: usize, s: usize| i + headroom[s] <= MAX_CHAIN;
+        if !fits(chain.len(), current)
+            || !chain
+                .iter()
+                .enumerate()
+                .all(|(i, &(s, _))| fits(i, s as usize))
+        {
+            return Err(corrupt("stackless register chain overflows"));
+        }
+        let mut eval = HarEval::new(core);
+        eval.depth = depth;
+        eval.current = current;
+        eval.dead = dead;
+        eval.chain_len = chain.len();
+        for (i, &(s, r)) in chain.iter().enumerate() {
+            eval.chain[i] = s;
+            eval.regs[i] = r;
+        }
+        Ok(eval)
+    }
+
+    /// The live `(state, register)` chain, outermost first.
+    pub(crate) fn chain(&self) -> Vec<(u16, i64)> {
+        (0..self.chain_len)
+            .map(|i| (self.chain[i], self.regs[i]))
+            .collect()
+    }
+
+    /// Applies an open of letter `l`; returns the pre-selection verdict.
+    #[inline(always)]
+    pub(crate) fn open(&mut self, l: usize) -> bool {
+        self.depth += 1;
+        if self.dead {
+            return false;
+        }
+        let next = self.dfa.step(self.current, l);
+        if self.component[next] != self.component[self.current] {
+            self.chain[self.chain_len] = self.current as u16;
+            self.regs[self.chain_len] = self.depth;
+            self.chain_len += 1;
+        }
+        self.current = next;
+        self.dfa.is_accepting(next)
+    }
+
+    /// Applies a close of letter `l`.
+    #[inline(always)]
+    pub(crate) fn close(&mut self, l: usize) {
+        self.depth -= 1;
+        if self.dead {
+            return;
+        }
+        if self.chain_len > 0 && self.regs[self.chain_len - 1] > self.depth {
+            self.chain_len -= 1;
+            self.current = self.chain[self.chain_len] as usize;
+        } else {
+            match self.rewind[self.current * self.k + l] {
+                Some(p) => self.current = p,
+                None => self.dead = true,
+            }
+        }
+    }
+}
+
+impl Evaluator for HarEval<'_> {
+    #[inline(always)]
+    fn event(&mut self, ev: u16) -> bool {
+        let (open_l, close_l) = decode_event(ev, self.k);
+        let sel = match open_l {
+            Some(l) => self.open(l),
+            None => false,
+        };
+        if let Some(l) = close_l {
+            self.close(l);
+        }
+        sel
+    }
+
+    fn detach(&mut self) -> Self {
+        *self
+    }
+}
+
+/// Per state: how many more SCC changes — chain pushes — a run can make
+/// from it (the longest path's count in the SCC DAG; constant within an
+/// SCC, so a rewind never changes it).
+fn push_headroom(core: &HarCore) -> Vec<usize> {
+    let dfa = core.dfa();
+    let component = core.component();
+    let mut headroom = vec![0usize; dfa.n_states()];
+    // Only edges between SCCs weigh 1 and those never lie on a cycle, so
+    // the longest-path relaxation reaches its fixed point.
+    loop {
+        let mut changed = false;
+        for s in 0..dfa.n_states() {
+            for l in 0..dfa.n_letters() {
+                let t = dfa.step(s, l);
+                let h = headroom[t] + (component[t] != component[s]) as usize;
+                if h > headroom[s] {
+                    headroom[s] = h;
+                    changed = true;
+                }
+            }
+        }
+        if !changed {
+            return headroom;
         }
     }
 }
@@ -1621,113 +974,98 @@ pub(crate) struct FusedStack {
 }
 
 impl FusedStack {
-    fn run(
-        &self,
-        bytes: &[u8],
-        stats: &mut ScanStats,
-        force: bool,
-        mut on_open: impl FnMut(usize, bool),
-    ) -> Result<(), ()> {
-        let k = self.lexer.k();
-        let k2 = 2 * k;
-        let mut stack: Vec<usize> = Vec::new();
-        let mut current = self.dfa.init();
-        let mut node = 0usize;
-        let mut handle = |ev: u16| {
-            let (open_l, close) = if (ev as usize) <= k2 {
-                let t = ev as usize - 1;
-                if t < k {
-                    (Some(t), false)
-                } else {
-                    (None, true)
-                }
-            } else {
-                (Some(ev as usize - 1 - k2), true)
-            };
-            if let Some(l) = open_l {
-                stack.push(current);
-                current = self.dfa.step(current, l);
-                on_open(node, self.dfa.is_accepting(current));
-                node += 1;
-            }
-            if close {
-                // Underflowing pop keeps the state, like the baseline.
-                current = stack.pop().unwrap_or(current);
-            }
-        };
-        if force || self.lexer.force_scalar() {
-            return self.lexer.scan(bytes, &mut handle);
-        }
-        match structural_scan(&self.lexer, bytes, TEXT, stats, &mut |ev, _| {
-            handle(ev);
-            true
-        }) {
-            ScanEnd::Complete { lex } if lex == TEXT => Ok(()),
-            ScanEnd::Stopped => unreachable!("unguarded sink never stops"),
-            _ => Err(()),
+    /// The evaluator at the automaton's initial state.
+    pub(crate) fn evaluator(&self) -> StackEval<'_> {
+        StackEval::new(&self.dfa)
+    }
+}
+
+/// The pushdown run: current state plus the saved states, bottom of the
+/// stack first — O(depth), exactly what its checkpoint carries.
+pub(crate) struct StackEval<'a> {
+    dfa: &'a Dfa,
+    k: usize,
+    pub(crate) current: usize,
+    pub(crate) frames: Vec<u32>,
+}
+
+impl<'a> StackEval<'a> {
+    /// A fresh run of `dfa` with an empty stack.
+    pub(crate) fn new(dfa: &'a Dfa) -> StackEval<'a> {
+        StackEval {
+            dfa,
+            k: dfa.n_letters(),
+            current: dfa.init(),
+            frames: Vec::new(),
         }
     }
 
-    /// Guarded variant of [`Self::run`]; see [`FusedHar::run_guarded`]
-    /// for the contract.  The depth check fires *before* the push, so a
-    /// breach caps the pushdown stack at `max_depth` entries — the guard
-    /// protects the very allocation this engine is named for.
-    #[inline(never)]
-    pub(crate) fn run_guarded(
-        &self,
-        bytes: &[u8],
-        max_depth: i64,
-        min_depth: i64,
-        stats: &mut ScanStats,
-        force: bool,
-        mut on_open: impl FnMut(usize, bool),
-    ) -> Result<bool, ()> {
-        let k = self.lexer.k();
-        let k2 = 2 * k;
-        let mut stack: Vec<usize> = Vec::new();
-        let mut current = self.dfa.init();
-        let mut node = 0usize;
-        let mut depth: i64 = 0;
-        let mut breached = false;
-        let mut handle = |ev: u16| {
-            let (open_l, close) = if (ev as usize) <= k2 {
-                let t = ev as usize - 1;
-                if t < k {
-                    (Some(t), false)
-                } else {
-                    (None, true)
-                }
-            } else {
-                (Some(ev as usize - 1 - k2), true)
-            };
-            if let Some(l) = open_l {
-                depth += 1;
-                if depth > max_depth {
-                    breached = true;
-                    return false;
-                }
-                stack.push(current);
-                current = self.dfa.step(current, l);
-                on_open(node, self.dfa.is_accepting(current));
-                node += 1;
-            }
-            if close {
-                depth -= 1;
-                if depth < min_depth {
-                    breached = true;
-                    return false;
-                }
-                current = stack.pop().unwrap_or(current);
-            }
-            true
-        };
-        if force || self.lexer.force_scalar() {
-            return self.lexer.scan_ctl(bytes, &mut handle).map(|()| !breached);
+    /// Rebuilds a frozen run — the one restore check both the
+    /// single-query and the query-set resume use.
+    ///
+    /// # Errors
+    ///
+    /// [`SessionError::Checkpoint`] if `current` or a frame is not a state
+    /// of `dfa`, or there are more frames than the `offset` bytes consumed
+    /// could have pushed.
+    pub(crate) fn restore(
+        dfa: &'a Dfa,
+        current: usize,
+        frames: Vec<u32>,
+        offset: u64,
+    ) -> Result<StackEval<'a>, SessionError> {
+        let n = dfa.n_states();
+        if current >= n || frames.iter().any(|&f| f as usize >= n) {
+            return Err(corrupt("stack state out of range"));
         }
-        match structural_scan(&self.lexer, bytes, TEXT, stats, &mut |ev, _| handle(ev)) {
-            ScanEnd::Complete { lex } if lex == TEXT => Ok(!breached),
-            ScanEnd::Stopped => Ok(!breached),
-            _ => Err(()),
+        if frames.len() as u64 > offset {
+            return Err(corrupt("stack frames exceed bytes consumed"));
+        }
+        Ok(StackEval {
+            current,
+            frames,
+            ..StackEval::new(dfa)
+        })
+    }
+
+    /// Applies an open of letter `l`; returns the pre-selection verdict.
+    #[inline(always)]
+    pub(crate) fn open(&mut self, l: usize) -> bool {
+        self.frames.push(self.current as u32);
+        self.current = self.dfa.step(self.current, l);
+        self.dfa.is_accepting(self.current)
+    }
+
+    /// Applies a close.  An underflowing pop keeps the state, like the
+    /// baseline evaluator.
+    #[inline(always)]
+    pub(crate) fn close(&mut self) {
+        if let Some(s) = self.frames.pop() {
+            self.current = s as usize;
+        }
+    }
+}
+
+impl Evaluator for StackEval<'_> {
+    #[inline(always)]
+    fn event(&mut self, ev: u16) -> bool {
+        let (open_l, close_l) = decode_event(ev, self.k);
+        let sel = match open_l {
+            Some(l) => self.open(l),
+            None => false,
+        };
+        if close_l.is_some() {
+            self.close();
+        }
+        sel
+    }
+
+    fn detach(&mut self) -> Self {
+        StackEval {
+            dfa: self.dfa,
+            k: self.k,
+            current: self.current,
+            frames: std::mem::take(&mut self.frames),
         }
     }
 }
@@ -1811,27 +1149,61 @@ impl FusedQuery {
         }
     }
 
-    /// Forces (or re-enables) the scalar byte path for this query: with
-    /// `true`, every evaluation walks the composite tables per byte
-    /// instead of striding the structural index.  Defaults to the
-    /// process-wide `ST_FORCE_SCALAR` escape hatch.  Results are
-    /// bitwise identical either way; this exists as a kill switch and
-    /// for differential testing.
-    pub fn set_force_scalar(&mut self, on: bool) {
-        match &mut self.backend {
-            FusedBackend::Registerless(b) => b.set_force_scalar(on),
-            FusedBackend::Stackless(e) => e.lexer.set_force_scalar(on),
-            FusedBackend::Stack(e) => e.lexer.set_force_scalar(on),
+    /// The tag lexer of the chosen backend.
+    pub(crate) fn tag_lexer(&self) -> &TagLexer {
+        match &self.backend {
+            FusedBackend::Registerless(b) => b.lexer(),
+            FusedBackend::Stackless(e) => &e.lexer,
+            FusedBackend::Stack(e) => &e.lexer,
         }
+    }
+
+    fn tag_lexer_mut(&mut self) -> &mut TagLexer {
+        match &mut self.backend {
+            FusedBackend::Registerless(b) => &mut b.lexer,
+            FusedBackend::Stackless(e) => &mut e.lexer,
+            FusedBackend::Stack(e) => &mut e.lexer,
+        }
+    }
+
+    /// Forces (or re-enables) the scalar byte path for this query: with
+    /// `true`, every evaluation steps the tag lexer per byte instead of
+    /// striding the structural index.  Defaults to the process-wide
+    /// `ST_FORCE_SCALAR` escape hatch.  Results are bitwise identical
+    /// either way; this exists as a kill switch and for differential
+    /// testing.
+    pub fn set_force_scalar(&mut self, on: bool) {
+        self.tag_lexer_mut().set_force_scalar(on);
     }
 
     /// Whether the scalar byte path is forced for this query.
     pub fn force_scalar(&self) -> bool {
-        match &self.backend {
-            FusedBackend::Registerless(b) => b.lexer().force_scalar(),
-            FusedBackend::Stackless(e) => e.lexer.force_scalar(),
-            FusedBackend::Stack(e) => e.lexer.force_scalar(),
-        }
+        self.tag_lexer().force_scalar()
+    }
+
+    /// Runs the whole document through the chosen class's evaluator under
+    /// `policy`; `force` is the caller's (per-run) scalar override, OR-ed
+    /// with the query's own flag.
+    fn run<P: Policy>(
+        &self,
+        bytes: &[u8],
+        stats: &mut ScanStats,
+        force: bool,
+        policy: P,
+    ) -> Result<P, TreeError> {
+        let force = force || self.force_scalar();
+        let done = match &self.backend {
+            FusedBackend::Registerless(b) => {
+                run_document(b.lexer(), bytes, force, stats, b.evaluator(), policy)
+            }
+            FusedBackend::Stackless(e) => {
+                run_document(&e.lexer, bytes, force, stats, e.evaluator(), policy)
+            }
+            FusedBackend::Stack(e) => {
+                run_document(&e.lexer, bytes, force, stats, e.evaluator(), policy)
+            }
+        };
+        done.ok_or_else(|| rescan_error(bytes, &self.alphabet))
     }
 
     /// Document-order ids of selected nodes, in one pass over raw bytes.
@@ -1860,29 +1232,8 @@ impl FusedQuery {
         stats: &mut ScanStats,
         force: bool,
     ) -> Result<Vec<usize>, TreeError> {
-        match &self.backend {
-            FusedBackend::Registerless(b) => b.select_bytes_opts(bytes, stats, force),
-            FusedBackend::Stackless(e) => {
-                let mut out = Vec::new();
-                e.run(bytes, stats, force, |node, sel| {
-                    if sel {
-                        out.push(node);
-                    }
-                })
-                .map_err(|()| rescan_error(bytes, &self.alphabet))?;
-                Ok(out)
-            }
-            FusedBackend::Stack(e) => {
-                let mut out = Vec::new();
-                e.run(bytes, stats, force, |node, sel| {
-                    if sel {
-                        out.push(node);
-                    }
-                })
-                .map_err(|()| rescan_error(bytes, &self.alphabet))?;
-                Ok(out)
-            }
-        }
+        let select = Select::new(self.tag_lexer().k(), 0, Vec::new());
+        Ok(self.run(bytes, stats, force, select)?.out)
     }
 
     /// Streaming count of selected nodes, in one pass over raw bytes.
@@ -1911,21 +1262,7 @@ impl FusedQuery {
         stats: &mut ScanStats,
         force: bool,
     ) -> Result<usize, TreeError> {
-        match &self.backend {
-            FusedBackend::Registerless(b) => b.count_bytes_opts(bytes, stats, force),
-            FusedBackend::Stackless(e) => {
-                let mut n = 0usize;
-                e.run(bytes, stats, force, |_, sel| n += sel as usize)
-                    .map_err(|()| rescan_error(bytes, &self.alphabet))?;
-                Ok(n)
-            }
-            FusedBackend::Stack(e) => {
-                let mut n = 0usize;
-                e.run(bytes, stats, force, |_, sel| n += sel as usize)
-                    .map_err(|()| rescan_error(bytes, &self.alphabet))?;
-                Ok(n)
-            }
-        }
+        Ok(self.run(bytes, stats, force, Count(0))?.0)
     }
 
     /// Records one completed engine run into `obs`.  The byte loops

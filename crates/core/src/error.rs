@@ -25,8 +25,8 @@ pub enum CoreError {
         /// Human-readable description of the defect.
         detail: String,
     },
-    /// The fused byte engine's composite table (tag lexer × query DFA)
-    /// would exceed its `u16` state budget.
+    /// The registerless engine's composite state (tag lexer × query DFA)
+    /// would exceed the `u16` its checkpoints freeze it in.
     FusedTooLarge {
         /// The composite state count that was requested.
         states: usize,
@@ -59,7 +59,7 @@ impl fmt::Display for CoreError {
             CoreError::FusedTooLarge { states } => {
                 write!(
                     f,
-                    "fused byte engine needs {states} composite states; the dense table caps at 65536"
+                    "fused byte engine needs {states} composite states; the checkpoint field caps at 65536"
                 )
             }
             CoreError::MalformedDtd { detail } => write!(f, "malformed DTD: {detail}"),

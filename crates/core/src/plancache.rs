@@ -1,7 +1,7 @@
 //! A bounded, concurrent compiled-plan cache.
 //!
 //! Compiling a query — regex → DFA → classification → determinized
-//! composite byte tables — is the expensive, document-independent half
+//! lexer and event tables — is the expensive, document-independent half
 //! of serving a request.  A serving edge sees the same hot patterns over
 //! and over; this cache lets every repeat skip determinization entirely
 //! and share one immutable [`Query`] across however many connections and

@@ -138,7 +138,7 @@ impl CompiledQuery {
     /// # Errors
     ///
     /// [`crate::CoreError::FusedTooLarge`] if the registerless composite
-    /// table would exceed its state budget, and
+    /// state would exceed its `u16` budget, and
     /// [`crate::CoreError::MalformedTable`] if `alphabet` does not match
     /// the query's tag alphabet.
     pub fn fused(&self, alphabet: &st_automata::Alphabet) -> Result<FusedQuery, crate::CoreError> {

@@ -37,7 +37,7 @@ pub enum QueryError {
     /// The path pattern did not parse as a regex over the alphabet.
     Pattern(AutomataError),
     /// The planner's chosen engine could not be fused with the byte
-    /// lexer (e.g. the composite table exceeds its state budget).
+    /// lexer (e.g. the composite state exceeds its `u16` budget).
     Engine(CoreError),
 }
 

@@ -49,16 +49,16 @@ use st_automata::{compile_regex, Alphabet, Dfa};
 use st_obs::TraceEvent;
 use st_trees::error::TreeError;
 
-use crate::engine::{find_lt, rescan_error, TagLexer, EV_ERROR, EV_NONE, TEXT};
+use crate::engine::{decode_event, rescan_error, HarEval, StackEval, TagLexer, TEXT};
 use crate::har::{HarMarkupProgram, MAX_CHAIN};
 use crate::planner::{CompiledQuery, Strategy};
 use crate::query::QueryError;
 use crate::session::{
-    alphabet_symbols, corrupt, decode_event, depth_error, fnv_bytes, fnv_dfa, fnv_usize,
-    imbalance_error, limit_kind_name, parse_error, put_i64, put_u16, put_u32, put_u64, HarRun,
-    LimitExceeded, LimitKind, Limits, Reader, SessObs, SessionError, WINDOW,
+    alphabet_symbols, corrupt, depth_error, fnv_bytes, fnv_dfa, fnv_usize, imbalance_error,
+    limit_kind_name, parse_error, put_i64, put_u16, put_u32, put_u64, LimitExceeded, LimitKind,
+    Limits, Reader, SessObs, SessionError, WINDOW,
 };
-use crate::structural::{structural_scan, EventSink, ScanEnd, ScanStats};
+use crate::structural::{drive_window, DriveEnd, EventSink, ScanStats};
 
 /// Default cap on the shared product DFA's state count.  Past this the
 /// compiler falls back to lane-wise simulation; `0` disables the
@@ -181,69 +181,49 @@ enum LaneEngine {
     Stack(Dfa),
 }
 
-/// One member's live state in the hybrid tier.
-enum LaneState {
+/// One member's live state in the hybrid tier: the stackless and stack
+/// members run the single-query evaluators.
+enum LaneState<'a> {
     Markup { s: u32 },
-    Har { run: HarRun },
-    Stack { s: u32, frames: Vec<u32> },
+    Har(HarEval<'a>),
+    Stack(StackEval<'a>),
 }
 
-fn fresh_lane(engine: &LaneEngine) -> LaneState {
+fn fresh_lane(engine: &LaneEngine) -> LaneState<'_> {
     match engine {
         LaneEngine::Markup(dfa) => LaneState::Markup {
             s: dfa.init() as u32,
         },
-        LaneEngine::Har(program) => LaneState::Har {
-            run: HarRun {
-                current: program.core().dfa().init(),
-                dead: false,
-                chain: [0; MAX_CHAIN],
-                regs: [0; MAX_CHAIN],
-                chain_len: 0,
-            },
-        },
-        LaneEngine::Stack(dfa) => LaneState::Stack {
-            s: dfa.init() as u32,
-            frames: Vec::new(),
-        },
+        LaneEngine::Har(program) => LaneState::Har(HarEval::new(program.core())),
+        LaneEngine::Stack(dfa) => LaneState::Stack(StackEval::new(dfa)),
     }
 }
 
-/// Applies an open event to one hybrid lane; `depth` is the depth
-/// *after* the open.  Returns whether the member selects the node.
+/// Applies an open event to one hybrid lane.  Returns whether the member
+/// selects the node.
 #[inline]
-fn lane_open(engine: &LaneEngine, state: &mut LaneState, l: usize, depth: i64) -> bool {
+fn lane_open(engine: &LaneEngine, state: &mut LaneState<'_>, l: usize) -> bool {
     match (engine, state) {
         (LaneEngine::Markup(dfa), LaneState::Markup { s }) => {
             *s = dfa.step(*s as usize, l) as u32;
             dfa.is_accepting(*s as usize)
         }
-        (LaneEngine::Har(program), LaneState::Har { run }) => run.open(program.core(), l, depth),
-        (LaneEngine::Stack(dfa), LaneState::Stack { s, frames }) => {
-            frames.push(*s);
-            *s = dfa.step(*s as usize, l) as u32;
-            dfa.is_accepting(*s as usize)
-        }
+        (_, LaneState::Har(run)) => run.open(l),
+        (_, LaneState::Stack(run)) => run.open(l),
         _ => unreachable!("lane engine/state agree by construction"),
     }
 }
 
-/// Applies a close event to one hybrid lane; `depth` is the depth
-/// *after* the close, `k` the label-alphabet size.
+/// Applies a close event to one hybrid lane; `k` is the label-alphabet
+/// size.
 #[inline]
-fn lane_close(engine: &LaneEngine, state: &mut LaneState, k: usize, l: usize, depth: i64) {
+fn lane_close(engine: &LaneEngine, state: &mut LaneState<'_>, k: usize, l: usize) {
     match (engine, state) {
         (LaneEngine::Markup(dfa), LaneState::Markup { s }) => {
             *s = dfa.step(*s as usize, k + l) as u32;
         }
-        (LaneEngine::Har(program), LaneState::Har { run }) => run.close(program.core(), l, depth),
-        (LaneEngine::Stack(_), LaneState::Stack { frames, s }) => {
-            // Underflowing pop keeps the state, like the baseline
-            // evaluator and the single-query stack session.
-            if let Some(p) = frames.pop() {
-                *s = p;
-            }
-        }
+        (_, LaneState::Har(run)) => run.close(l),
+        (_, LaneState::Stack(run)) => run.close(),
         _ => unreachable!("lane engine/state agree by construction"),
     }
 }
@@ -629,7 +609,6 @@ impl QuerySet {
                     engines,
                     lanes: engines.iter().map(fresh_lane).collect(),
                     buf: vec![0; engines.len().div_ceil(64)],
-                    depth: 0,
                     node: 0,
                     emit,
                 };
@@ -714,68 +693,6 @@ impl ProductTable {
             accept,
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// The shared byte pass
-// ---------------------------------------------------------------------------
-
-enum DriveEnd {
-    /// Window consumed; the lexer state was written back.
-    Done,
-    /// Malformed input at this window-relative offset.
-    Parse(usize),
-    /// The sink stopped the scan (budget breach; the sink recorded why).
-    Stopped,
-}
-
-/// Runs one window of bytes through either the indexed structural scan
-/// or its scalar lexer twin, feeding events into `sink`.  `lex` is the
-/// entry lexer state and receives the exit state.
-fn drive_window<S: EventSink>(
-    lexer: &TagLexer,
-    w: &[u8],
-    lex: &mut u16,
-    force_scalar: bool,
-    stats: &mut ScanStats,
-    sink: &mut S,
-) -> DriveEnd {
-    if !force_scalar {
-        return match structural_scan(lexer, w, *lex, stats, sink) {
-            ScanEnd::Complete { lex: l2 } => {
-                *lex = l2;
-                DriveEnd::Done
-            }
-            ScanEnd::Error { pos } => DriveEnd::Parse(pos),
-            ScanEnd::Stopped => DriveEnd::Stopped,
-        };
-    }
-    let n = w.len();
-    let mut l = *lex;
-    let mut i = 0usize;
-    while i < n {
-        if l == TEXT {
-            i = find_lt(w, i);
-            if i >= n {
-                break;
-            }
-        }
-        let (l2, ev) = lexer.step(l, w[i]);
-        l = l2;
-        if ev != EV_NONE {
-            if ev == EV_ERROR {
-                *lex = l;
-                return DriveEnd::Parse(i);
-            }
-            if !sink.event(ev, i) {
-                *lex = l;
-                return DriveEnd::Stopped;
-            }
-        }
-        i += 1;
-    }
-    *lex = l;
-    DriveEnd::Done
 }
 
 // ---------------------------------------------------------------------------
@@ -892,9 +809,8 @@ impl<E: Emit> EventSink for LaneSink<'_, E> {
 struct HybridSink<'a, E: Emit> {
     k: usize,
     engines: &'a [LaneEngine],
-    lanes: Vec<LaneState>,
+    lanes: Vec<LaneState<'a>>,
     buf: Vec<u64>,
-    depth: i64,
     node: usize,
     emit: &'a mut E,
 }
@@ -904,11 +820,10 @@ impl<E: Emit> EventSink for HybridSink<'_, E> {
     fn event(&mut self, ev: u16, _pos: usize) -> bool {
         let (open_l, close_l) = decode_event(ev, self.k);
         if let Some(l) = open_l {
-            self.depth += 1;
             self.buf.fill(0);
             let mut any = false;
             for (i, (engine, lane)) in self.engines.iter().zip(&mut self.lanes).enumerate() {
-                if lane_open(engine, lane, l, self.depth) {
+                if lane_open(engine, lane, l) {
                     self.buf[i >> 6] |= 1 << (i & 63);
                     any = true;
                 }
@@ -919,9 +834,8 @@ impl<E: Emit> EventSink for HybridSink<'_, E> {
             self.node += 1;
         }
         if let Some(l) = close_l {
-            self.depth -= 1;
             for (engine, lane) in self.engines.iter().zip(&mut self.lanes) {
-                lane_close(engine, lane, self.k, l, self.depth);
+                lane_close(engine, lane, self.k, l);
             }
         }
         true
@@ -1223,10 +1137,10 @@ impl QuerySetOutcome {
     }
 }
 
-enum QsState {
+enum QsState<'q> {
     Product { s: u32 },
     Lanes { cur: Vec<u32> },
-    Hybrid { lanes: Vec<LaneState> },
+    Hybrid { lanes: Vec<LaneState<'q>> },
 }
 
 /// An incremental, checkpointable run of a [`QuerySet`] under a set of
@@ -1242,7 +1156,7 @@ pub struct QuerySetSession<'q> {
     depth: i64,
     lex: u16,
     matches: Vec<Vec<usize>>,
-    state: QsState,
+    state: QsState<'q>,
     failed: Option<SessionError>,
     obs: Option<SessObs>,
 }
@@ -1475,7 +1389,7 @@ impl<'q> QuerySetSession<'q> {
                         }
                         for (i, (engine, lane)) in engines.iter().zip(lanes.iter_mut()).enumerate()
                         {
-                            if lane_open(engine, lane, l, depth) {
+                            if lane_open(engine, lane, l) {
                                 matches[i].push(node);
                             }
                         }
@@ -1488,7 +1402,7 @@ impl<'q> QuerySetSession<'q> {
                             return false;
                         }
                         for (engine, lane) in engines.iter().zip(lanes.iter_mut()) {
-                            lane_close(engine, lane, k, l, depth);
+                            lane_close(engine, lane, k, l);
                         }
                     }
                     true
@@ -1530,16 +1444,14 @@ impl<'q> QuerySetSession<'q> {
                     .iter()
                     .map(|lane| match lane {
                         LaneState::Markup { s } => HybridLaneCheckpoint::Markup { state: *s },
-                        LaneState::Har { run } => HybridLaneCheckpoint::Har {
+                        LaneState::Har(run) => HybridLaneCheckpoint::Har {
                             current: run.current as u32,
                             dead: run.dead,
-                            chain: (0..run.chain_len)
-                                .map(|i| (run.chain[i], run.regs[i]))
-                                .collect(),
+                            chain: run.chain(),
                         },
-                        LaneState::Stack { s, frames } => HybridLaneCheckpoint::Stack {
-                            current: *s,
-                            frames: frames.clone(),
+                        LaneState::Stack(run) => HybridLaneCheckpoint::Stack {
+                            current: run.current as u32,
+                            frames: run.frames.clone(),
                         },
                     })
                     .collect(),
@@ -1667,7 +1579,7 @@ impl QuerySet {
                 }
                 let mut restored = Vec::with_capacity(lanes.len());
                 for (lane, engine) in lanes.iter().zip(engines) {
-                    restored.push(restore_lane(lane, engine, checkpoint.offset)?);
+                    restored.push(restore_lane(lane, engine, checkpoint)?);
                 }
                 QsState::Hybrid { lanes: restored }
             }
@@ -1753,11 +1665,12 @@ impl QuerySet {
     }
 }
 
-fn restore_lane(
+/// Rebuilds one hybrid lane through its evaluator's restore check.
+fn restore_lane<'q>(
     lane: &HybridLaneCheckpoint,
-    engine: &LaneEngine,
-    offset: u64,
-) -> Result<LaneState, SessionError> {
+    engine: &'q LaneEngine,
+    checkpoint: &QuerySetCheckpoint,
+) -> Result<LaneState<'q>, SessionError> {
     Ok(match (lane, engine) {
         (HybridLaneCheckpoint::Markup { state }, LaneEngine::Markup(dfa)) => {
             if *state as usize >= dfa.n_states() {
@@ -1772,40 +1685,20 @@ fn restore_lane(
                 chain,
             },
             LaneEngine::Har(program),
-        ) => {
-            let dfa = program.core().dfa();
-            if *current as usize >= dfa.n_states() || chain.len() > MAX_CHAIN {
-                return Err(corrupt("har lane state out of range"));
-            }
-            let mut run = HarRun {
-                current: *current as usize,
-                dead: *dead,
-                chain: [0; MAX_CHAIN],
-                regs: [0; MAX_CHAIN],
-                chain_len: chain.len(),
-            };
-            for (i, (s, r)) in chain.iter().enumerate() {
-                run.chain[i] = *s;
-                run.regs[i] = *r;
-            }
-            LaneState::Har { run }
-        }
+        ) => LaneState::Har(HarEval::restore(
+            program.core(),
+            checkpoint.depth,
+            *current as usize,
+            *dead,
+            chain,
+        )?),
         (HybridLaneCheckpoint::Stack { current, frames }, LaneEngine::Stack(dfa)) => {
-            if *current as usize >= dfa.n_states() {
-                return Err(corrupt("stack lane state out of range"));
-            }
-            if frames.len() as u64 > offset {
-                return Err(corrupt("stack frames exceed bytes consumed"));
-            }
-            for &f in frames {
-                if f as usize >= dfa.n_states() {
-                    return Err(corrupt("stack frame out of range"));
-                }
-            }
-            LaneState::Stack {
-                s: *current,
-                frames: frames.clone(),
-            }
+            LaneState::Stack(StackEval::restore(
+                dfa,
+                *current as usize,
+                frames.clone(),
+                checkpoint.offset,
+            )?)
         }
         _ => return Err(corrupt("lane kind does not match the member's engine")),
     })

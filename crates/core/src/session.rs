@@ -22,10 +22,9 @@
 //!   3.1/3.2 made visible on the wire.
 //! * [`Limits`] — resource guards (max depth, max document bytes, max
 //!   open-tag imbalance, wall-clock budget) enforced with amortized
-//!   checks: depth and imbalance ride the per-event flag branch the hot
-//!   loops already take, byte and time budgets are checked once per
-//!   64 KiB window, so guarded throughput stays within noise of the
-//!   unguarded fused loops.  Violations surface as typed
+//!   checks: depth and imbalance are the `Guard` policy, two compares
+//!   per *event* in front of the class's evaluator; byte and time budgets
+//!   are checked once per 64 KiB window.  Violations surface as typed
 //!   [`LimitExceeded`] values with the exact byte offset.
 //! * Recovery mode ([`FusedQuery::select_bytes_recovering`]) — a lenient
 //!   pass that, instead of aborting on the first malformed byte, records
@@ -48,13 +47,13 @@ use st_trees::error::TreeError;
 
 use crate::emit::{EmissionCursor, StreamedMatch};
 use crate::engine::{
-    find_lt, record_scan_stats, rescan_error, FusedBackend, FusedQuery, TagLexer, EV_ERROR,
-    EV_NONE, FLAG_CLOSE, FLAG_ERROR, FLAG_OPEN, FLAG_SELECTED, LT, TEXT,
+    find_lt, opens, record_scan_stats, rescan_error, DfaEval, Evaluator, FusedBackend, FusedQuery,
+    HarEval, Policy, Run, Select, StackEval, TagLexer, EV_ERROR, EV_NONE, TEXT,
 };
 use crate::error::CoreError;
-use crate::har::{HarCore, MAX_CHAIN};
+use crate::har::MAX_CHAIN;
 use crate::planner::Strategy;
-use crate::structural::{structural_scan, ScanEnd, ScanStats};
+use crate::structural::{drive_window, DriveEnd, EventSink, ScanStats};
 
 /// Bytes processed between amortized byte-budget / wall-clock checks.
 pub(crate) const WINDOW: usize = 64 << 10;
@@ -110,7 +109,7 @@ pub struct Limits {
     pub obs: ObsHandle,
     /// Forces the scalar byte path for runs under these limits, without
     /// mutating the shared query: the per-window structural index is
-    /// skipped and the composite tables walk every byte.  Results are
+    /// skipped and the tag lexer steps every byte.  Results are
     /// bitwise identical either way (that identity is what st-conform
     /// fuzzes); this is the per-run twin of the process-wide
     /// `ST_FORCE_SCALAR` escape hatch.
@@ -781,79 +780,117 @@ pub(crate) fn fnv_dfa(h: &mut u64, dfa: &st_automata::Dfa) {
 // Session state
 // ---------------------------------------------------------------------------
 
-/// The Lemma 3.8 run state in session form (mirrors the locals of the
-/// fused HAR loop in `engine.rs`).
-pub(crate) struct HarRun {
-    pub(crate) current: usize,
-    pub(crate) dead: bool,
-    pub(crate) chain: [u16; MAX_CHAIN],
-    pub(crate) regs: [i64; MAX_CHAIN],
-    pub(crate) chain_len: usize,
+/// The session's evaluator: the query class's per-event state between
+/// feeds (the lexer state lives beside it in the session).
+enum SessEval<'q> {
+    Dfa(DfaEval<'q>),
+    Har(HarEval<'q>),
+    Stack(StackEval<'q>),
 }
 
-impl HarRun {
-    /// Applies an open event; returns the pre-selection verdict.
-    #[inline]
-    pub(crate) fn open(&mut self, core: &HarCore, l: usize, depth: i64) -> bool {
-        if self.dead {
+/// The depth/imbalance guard policy: two compares per event in front of
+/// `inner`, stopping the scan — before the evaluator steps, so a breach
+/// caps the pushdown stack at the budget — on the first event that
+/// crosses a budget.  Unbounded budgets still track the depth that
+/// checkpoints and recovery diagnostics report.
+struct Guard<P> {
+    k: u16,
+    depth: i64,
+    max_depth: i64,
+    min_depth: i64,
+    /// The budget a stopped scan crossed, and the window offset.
+    breach: Option<(LimitKind, usize)>,
+    inner: P,
+}
+
+impl<P> Guard<P> {
+    /// Guards `inner` with the structural budgets of `limits`, starting at
+    /// `depth`.
+    fn new(k: usize, depth: i64, limits: &Limits, inner: P) -> Guard<P> {
+        Guard {
+            k: k as u16,
+            depth,
+            max_depth: limits.max_depth.map_or(i64::MAX, |d| d as i64),
+            min_depth: limits.max_imbalance.map_or(i64::MIN, |d| -(d as i64)),
+            breach: None,
+            inner,
+        }
+    }
+
+    /// The typed error of the breach that stopped the scan, for a window
+    /// starting at absolute offset `base`.
+    fn breach_error(&self, base: usize) -> SessionError {
+        let (kind, pos) = self.breach.expect("a stopped scan recorded its breach");
+        SessionError::Limit(LimitExceeded {
+            kind,
+            limit: match kind {
+                LimitKind::Depth => self.max_depth as u64,
+                _ => (-self.min_depth) as u64,
+            },
+            offset: base + pos,
+        })
+    }
+}
+
+impl<P: Policy> Policy for Guard<P> {
+    #[inline(always)]
+    fn admit(&mut self, ev: u16, pos: usize) -> bool {
+        self.depth += opens(ev, self.k) as i64;
+        if self.depth > self.max_depth {
+            self.breach = Some((LimitKind::Depth, pos));
             return false;
         }
-        let dfa = core.dfa();
-        let next = dfa.step(self.current, l);
-        if core.component()[next] != core.component()[self.current] {
-            self.chain[self.chain_len] = self.current as u16;
-            self.regs[self.chain_len] = depth;
-            self.chain_len += 1;
+        self.depth -= (ev > self.k) as i64;
+        if self.depth < self.min_depth {
+            self.breach = Some((LimitKind::Imbalance, pos));
+            return false;
         }
-        self.current = next;
-        dfa.is_accepting(self.current)
+        self.inner.admit(ev, pos)
     }
 
-    /// Applies a close event; `depth` is the depth *after* the close.
-    #[inline]
-    pub(crate) fn close(&mut self, core: &HarCore, l: usize, depth: i64) {
-        if self.dead {
-            return;
-        }
-        if self.chain_len > 0 && self.regs[self.chain_len - 1] > depth {
-            self.chain_len -= 1;
-            self.current = self.chain[self.chain_len] as usize;
-        } else {
-            match core.rewind_markup()[self.current * core.dfa().n_letters() + l] {
-                Some(p2) => self.current = p2,
-                None => self.dead = true,
-            }
-        }
+    #[inline(always)]
+    fn record(&mut self, ev: u16, sel: bool, pos: usize) {
+        self.inner.record(ev, sel, pos);
     }
 }
 
-enum SessState {
-    /// Composite fused-table state of the registerless byte engine.
-    Registerless { s: usize },
-    /// Lexer state + HAR run.
-    Stackless { lex: u16, run: HarRun },
-    /// Lexer state + pushdown frames.
-    Stack {
-        lex: u16,
-        current: usize,
-        stack: Vec<u16>,
-    },
+/// Session emission: [`Select`] plus the absolute byte offset of the open
+/// event that decided each match, for the certainty frontier.
+struct Emit {
+    select: Select,
+    /// Absolute offset of the window's first byte.
+    base: usize,
+    offsets: Vec<usize>,
 }
 
-/// Decodes a lexer event code into `(open_letter, close_letter)`.
-#[inline]
-pub(crate) fn decode_event(ev: u16, k: usize) -> (Option<usize>, Option<usize>) {
-    if (ev as usize) <= 2 * k {
-        let t = ev as usize - 1;
-        if t < k {
-            (Some(t), None)
-        } else {
-            (None, Some(t - k))
+impl Policy for Emit {
+    #[inline(always)]
+    fn record(&mut self, ev: u16, sel: bool, pos: usize) {
+        if sel {
+            self.offsets.push(self.base + pos);
         }
-    } else {
-        let l = ev as usize - 1 - 2 * k;
-        (Some(l), Some(l))
+        self.select.record(ev, sel, pos);
     }
+}
+
+/// Drives one window through `eval` under `policy`, moving the evaluator
+/// into a by-value [`Run`] for the window and back out after it.
+fn run_window_with<E: Evaluator, P: Policy>(
+    eval: &mut E,
+    policy: P,
+    lexer: &TagLexer,
+    w: &[u8],
+    lex: &mut u16,
+    force_scalar: bool,
+    stats: &mut ScanStats,
+) -> (DriveEnd, P) {
+    let mut run = Run {
+        eval: eval.detach(),
+        policy,
+    };
+    let end = drive_window(lexer, w, lex, force_scalar, stats, &mut run);
+    *eval = run.eval;
+    (end, run.policy)
 }
 
 /// The final tallies of a completed session run.
@@ -964,32 +1001,19 @@ pub struct EngineSession<'q> {
     /// Count + digest of everything emitted since document start
     /// (resume restores the checkpoint's cursor and keeps folding).
     cursor: EmissionCursor,
-    state: SessState,
+    /// Lexer state (mid-tag cuts are legal).
+    lex: u16,
+    eval: SessEval<'q>,
     failed: Option<SessionError>,
     obs: Option<SessObs>,
 }
 
 impl<'q> EngineSession<'q> {
     fn fresh(query: &'q FusedQuery, limits: Limits) -> EngineSession<'q> {
-        let state = match &query.backend {
-            FusedBackend::Registerless(b) => SessState::Registerless {
-                s: b.start as usize,
-            },
-            FusedBackend::Stackless(e) => SessState::Stackless {
-                lex: TEXT,
-                run: HarRun {
-                    current: e.program.core().dfa().init(),
-                    dead: false,
-                    chain: [0; MAX_CHAIN],
-                    regs: [0; MAX_CHAIN],
-                    chain_len: 0,
-                },
-            },
-            FusedBackend::Stack(e) => SessState::Stack {
-                lex: TEXT,
-                current: e.dfa.init(),
-                stack: Vec::new(),
-            },
+        let eval = match &query.backend {
+            FusedBackend::Registerless(b) => SessEval::Dfa(b.evaluator()),
+            FusedBackend::Stackless(e) => SessEval::Har(e.evaluator()),
+            FusedBackend::Stack(e) => SessEval::Stack(e.evaluator()),
         };
         let started = limits.now();
         let obs = SessObs::attach(&limits.obs, 0);
@@ -1006,7 +1030,8 @@ impl<'q> EngineSession<'q> {
             flushed: 0,
             drained: 0,
             cursor: EmissionCursor::new(),
-            state,
+            lex: TEXT,
+            eval,
             failed: None,
             obs,
         }
@@ -1170,369 +1195,38 @@ impl<'q> EngineSession<'q> {
     }
 
     /// Processes one window; `self.offset` is the absolute offset of
-    /// `w[0]` and is only advanced by the caller afterwards.
-    ///
-    /// Every piece of hot state (lexer/query state, depth, node counter)
-    /// is hoisted into locals for the duration of the window and written
-    /// back once at the end — through `&mut self` the compiler would
-    /// spill them on every byte, which is where the guarded loop would
-    /// lose to the unguarded engines.
+    /// `w[0]` and is only advanced by the caller afterwards.  The guarded
+    /// emission policy carries depth, node counter and match lists by
+    /// value for the window and hands them back at its end.
     fn run_window(&mut self, w: &[u8]) -> Result<(), SessionError> {
-        let max_depth = self.limits.max_depth.map(|d| d as i64).unwrap_or(i64::MAX);
-        let min_depth = self
-            .limits
-            .max_imbalance
-            .map(|d| -(d as i64))
-            .unwrap_or(i64::MIN);
+        let query = self.query;
+        let lexer = query.tag_lexer();
+        let force_scalar = self.limits.force_scalar || query.force_scalar();
         let base = self.offset;
-        let force_scalar = self.limits.force_scalar || self.query.force_scalar();
+        let emit = Emit {
+            select: Select::new(lexer.k(), self.node, std::mem::take(&mut self.matches)),
+            base,
+            offsets: std::mem::take(&mut self.match_offsets),
+        };
+        let policy = Guard::new(lexer.k(), self.depth, &self.limits, emit);
         let mut stats = ScanStats::default();
-        let mut depth = self.depth;
-        let mut node = self.node;
-        let matches = &mut self.matches;
-        let offsets = &mut self.match_offsets;
-        let n = w.len();
-        let res = match &mut self.state {
-            SessState::Registerless { s } => {
-                let FusedBackend::Registerless(b) = &self.query.backend else {
-                    unreachable!("state/backend agree by construction");
-                };
-                let m = b.m;
-                let mut st = *s;
-                let res = if !force_scalar {
-                    // Indexed window: the composite state factors as
-                    // `lex·m + q`; the structural scan carries the lexer
-                    // half and the event sink carries the query half.
-                    let k = b.k();
-                    let entry_lex = (st / m) as u16;
-                    let mut q = st % m;
-                    let mut lim_err: Option<SessionError> = None;
-                    let end =
-                        structural_scan(b.lexer(), w, entry_lex, &mut stats, &mut |ev, pos| {
-                            let (q2, opened, sel) = b.event_step(q, ev);
-                            q = q2;
-                            if opened {
-                                depth += 1;
-                                if depth > max_depth {
-                                    lim_err = Some(depth_error(max_depth, base + pos));
-                                    return false;
-                                }
-                                if sel {
-                                    matches.push(node);
-                                    offsets.push(base + pos);
-                                }
-                                node += 1;
-                            }
-                            if ev as usize > k {
-                                depth -= 1;
-                                if depth < min_depth {
-                                    lim_err = Some(imbalance_error(min_depth, base + pos));
-                                    return false;
-                                }
-                            }
-                            true
-                        });
-                    match end {
-                        ScanEnd::Complete { lex } => {
-                            st = lex as usize * m + q;
-                            Ok(())
-                        }
-                        ScanEnd::Error { pos } => Err(parse_error(base + pos)),
-                        ScanEnd::Stopped => Err(lim_err.expect("stopped sink set its error")),
-                    }
-                } else {
-                    let table = b.table.as_slice();
-                    let mask = table.len() - 1;
-                    let mut i = 0usize;
-                    'scan: {
-                        while i < n {
-                            if st < m {
-                                i = find_lt(w, i);
-                                if i >= n {
-                                    break;
-                                }
-                                st += LT as usize * m;
-                                i += 1;
-                                if i >= n {
-                                    break;
-                                }
-                            }
-                            let p = table[((st << 8) | w[i] as usize) & mask];
-                            st = (p & 0xFFFF) as usize;
-                            if p >> 16 != 0 {
-                                let f = (p >> 16) as u8;
-                                if f & FLAG_ERROR != 0 {
-                                    break 'scan Err(parse_error(base + i));
-                                }
-                                if f & FLAG_OPEN != 0 {
-                                    depth += 1;
-                                    if depth > max_depth {
-                                        break 'scan Err(depth_error(max_depth, base + i));
-                                    }
-                                    if f & FLAG_SELECTED != 0 {
-                                        matches.push(node);
-                                        offsets.push(base + i);
-                                    }
-                                    node += 1;
-                                }
-                                if f & FLAG_CLOSE != 0 {
-                                    depth -= 1;
-                                    if depth < min_depth {
-                                        break 'scan Err(imbalance_error(min_depth, base + i));
-                                    }
-                                }
-                            }
-                            i += 1;
-                        }
-                        Ok(())
-                    }
-                };
-                *s = st;
-                res
-            }
-            SessState::Stackless { lex, run } => {
-                let FusedBackend::Stackless(e) = &self.query.backend else {
-                    unreachable!("state/backend agree by construction");
-                };
-                let core = e.program.core();
-                let lexer = &e.lexer;
-                let k = lexer.k();
-                let dfa = core.dfa();
-                let component = core.component();
-                let rewind = core.rewind_markup();
-                let mut lx = *lex;
-                // The HAR run mirrors `HarRun::open`/`close` with the
-                // scalars in locals (the chain arrays stay in place —
-                // they are touched once per SCC change, not per event).
-                let mut current = run.current;
-                let mut dead = run.dead;
-                let mut chain_len = run.chain_len;
-                let res = if !force_scalar {
-                    let mut lim_err: Option<SessionError> = None;
-                    let end = structural_scan(lexer, w, lx, &mut stats, &mut |ev, pos| {
-                        let (open_l, close_l) = decode_event(ev, k);
-                        if let Some(l) = open_l {
-                            depth += 1;
-                            if depth > max_depth {
-                                lim_err = Some(depth_error(max_depth, base + pos));
-                                return false;
-                            }
-                            if !dead {
-                                let next = dfa.step(current, l);
-                                if component[next] != component[current] {
-                                    run.chain[chain_len] = current as u16;
-                                    run.regs[chain_len] = depth;
-                                    chain_len += 1;
-                                }
-                                current = next;
-                                if dfa.is_accepting(current) {
-                                    matches.push(node);
-                                    offsets.push(base + pos);
-                                }
-                            }
-                            node += 1;
-                        }
-                        if let Some(l) = close_l {
-                            depth -= 1;
-                            if depth < min_depth {
-                                lim_err = Some(imbalance_error(min_depth, base + pos));
-                                return false;
-                            }
-                            if !dead {
-                                if chain_len > 0 && run.regs[chain_len - 1] > depth {
-                                    chain_len -= 1;
-                                    current = run.chain[chain_len] as usize;
-                                } else {
-                                    match rewind[current * k + l] {
-                                        Some(p2) => current = p2,
-                                        None => dead = true,
-                                    }
-                                }
-                            }
-                        }
-                        true
-                    });
-                    match end {
-                        ScanEnd::Complete { lex: l2 } => {
-                            lx = l2;
-                            Ok(())
-                        }
-                        ScanEnd::Error { pos } => Err(parse_error(base + pos)),
-                        ScanEnd::Stopped => Err(lim_err.expect("stopped sink set its error")),
-                    }
-                } else {
-                    let mut i = 0usize;
-                    'scan: {
-                        while i < n {
-                            if lx == TEXT {
-                                i = find_lt(w, i);
-                                if i >= n {
-                                    break;
-                                }
-                            }
-                            let (lex2, ev) = lexer.step(lx, w[i]);
-                            lx = lex2;
-                            if ev != EV_NONE {
-                                if ev == EV_ERROR {
-                                    break 'scan Err(parse_error(base + i));
-                                }
-                                let (open_l, close_l) = decode_event(ev, k);
-                                if let Some(l) = open_l {
-                                    depth += 1;
-                                    if depth > max_depth {
-                                        break 'scan Err(depth_error(max_depth, base + i));
-                                    }
-                                    if !dead {
-                                        let next = dfa.step(current, l);
-                                        if component[next] != component[current] {
-                                            run.chain[chain_len] = current as u16;
-                                            run.regs[chain_len] = depth;
-                                            chain_len += 1;
-                                        }
-                                        current = next;
-                                        if dfa.is_accepting(current) {
-                                            matches.push(node);
-                                            offsets.push(base + i);
-                                        }
-                                    }
-                                    node += 1;
-                                }
-                                if let Some(l) = close_l {
-                                    depth -= 1;
-                                    if depth < min_depth {
-                                        break 'scan Err(imbalance_error(min_depth, base + i));
-                                    }
-                                    if !dead {
-                                        if chain_len > 0 && run.regs[chain_len - 1] > depth {
-                                            chain_len -= 1;
-                                            current = run.chain[chain_len] as usize;
-                                        } else {
-                                            match rewind[current * k + l] {
-                                                Some(p2) => current = p2,
-                                                None => dead = true,
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                            i += 1;
-                        }
-                        Ok(())
-                    }
-                };
-                *lex = lx;
-                run.current = current;
-                run.dead = dead;
-                run.chain_len = chain_len;
-                res
-            }
-            SessState::Stack {
-                lex,
-                current,
-                stack,
-            } => {
-                let FusedBackend::Stack(e) = &self.query.backend else {
-                    unreachable!("state/backend agree by construction");
-                };
-                let lexer = &e.lexer;
-                let dfa = &e.dfa;
-                let k = lexer.k();
-                let mut lx = *lex;
-                let mut cur = *current;
-                let res = if !force_scalar {
-                    let mut lim_err: Option<SessionError> = None;
-                    let end = structural_scan(lexer, w, lx, &mut stats, &mut |ev, pos| {
-                        let (open_l, close_l) = decode_event(ev, k);
-                        if let Some(l) = open_l {
-                            depth += 1;
-                            if depth > max_depth {
-                                lim_err = Some(depth_error(max_depth, base + pos));
-                                return false;
-                            }
-                            stack.push(cur as u16);
-                            cur = dfa.step(cur, l);
-                            if dfa.is_accepting(cur) {
-                                matches.push(node);
-                                offsets.push(base + pos);
-                            }
-                            node += 1;
-                        }
-                        if close_l.is_some() {
-                            depth -= 1;
-                            if depth < min_depth {
-                                lim_err = Some(imbalance_error(min_depth, base + pos));
-                                return false;
-                            }
-                            // Underflowing pop keeps the state, like the
-                            // baseline evaluator.
-                            if let Some(s) = stack.pop() {
-                                cur = s as usize;
-                            }
-                        }
-                        true
-                    });
-                    match end {
-                        ScanEnd::Complete { lex: l2 } => {
-                            lx = l2;
-                            Ok(())
-                        }
-                        ScanEnd::Error { pos } => Err(parse_error(base + pos)),
-                        ScanEnd::Stopped => Err(lim_err.expect("stopped sink set its error")),
-                    }
-                } else {
-                    let mut i = 0usize;
-                    'scan: {
-                        while i < n {
-                            if lx == TEXT {
-                                i = find_lt(w, i);
-                                if i >= n {
-                                    break;
-                                }
-                            }
-                            let (lex2, ev) = lexer.step(lx, w[i]);
-                            lx = lex2;
-                            if ev != EV_NONE {
-                                if ev == EV_ERROR {
-                                    break 'scan Err(parse_error(base + i));
-                                }
-                                let (open_l, close_l) = decode_event(ev, k);
-                                if let Some(l) = open_l {
-                                    depth += 1;
-                                    if depth > max_depth {
-                                        break 'scan Err(depth_error(max_depth, base + i));
-                                    }
-                                    stack.push(cur as u16);
-                                    cur = dfa.step(cur, l);
-                                    if dfa.is_accepting(cur) {
-                                        matches.push(node);
-                                        offsets.push(base + i);
-                                    }
-                                    node += 1;
-                                }
-                                if close_l.is_some() {
-                                    depth -= 1;
-                                    if depth < min_depth {
-                                        break 'scan Err(imbalance_error(min_depth, base + i));
-                                    }
-                                    // Underflowing pop keeps the state, like
-                                    // the baseline evaluator.
-                                    if let Some(s) = stack.pop() {
-                                        cur = s as usize;
-                                    }
-                                }
-                            }
-                            i += 1;
-                        }
-                        Ok(())
-                    }
-                };
-                *lex = lx;
-                *current = cur;
-                res
+        let lex = &mut self.lex;
+        let (end, guard) = match &mut self.eval {
+            SessEval::Dfa(e) => run_window_with(e, policy, lexer, w, lex, force_scalar, &mut stats),
+            SessEval::Har(e) => run_window_with(e, policy, lexer, w, lex, force_scalar, &mut stats),
+            SessEval::Stack(e) => {
+                run_window_with(e, policy, lexer, w, lex, force_scalar, &mut stats)
             }
         };
-        self.depth = depth;
-        self.node = node;
+        let res = match end {
+            DriveEnd::Done => Ok(()),
+            DriveEnd::Parse(pos) => Err(parse_error(base + pos)),
+            DriveEnd::Stopped => Err(guard.breach_error(base)),
+        };
+        self.depth = guard.depth;
+        self.node = guard.inner.select.node;
+        self.matches = guard.inner.select.out;
+        self.match_offsets = guard.inner.offsets;
         if let Some(o) = &self.obs {
             o.simd_windows.add(stats.simd_windows);
             o.fallback_windows.add(stats.fallback_windows);
@@ -1550,27 +1244,22 @@ impl<'q> EngineSession<'q> {
         if let Some(e) = &self.failed {
             return Err(corrupt(format!("session already failed: {e}")));
         }
-        let state = match &self.state {
-            SessState::Registerless { s } => CheckpointState::Registerless {
-                composite: *s as u16,
+        let state = match (&self.eval, &self.query.backend) {
+            (SessEval::Dfa(e), FusedBackend::Registerless(b)) => CheckpointState::Registerless {
+                composite: b.composite(self.lex, e),
             },
-            SessState::Stackless { lex, run } => CheckpointState::Stackless {
-                lex: *lex,
-                current: run.current as u16,
-                dead: run.dead,
-                chain: (0..run.chain_len)
-                    .map(|i| (run.chain[i], run.regs[i]))
-                    .collect(),
+            (SessEval::Har(e), _) => CheckpointState::Stackless {
+                lex: self.lex,
+                current: e.current as u16,
+                dead: e.dead,
+                chain: e.chain(),
             },
-            SessState::Stack {
-                lex,
-                current,
-                stack,
-            } => CheckpointState::Stack {
-                lex: *lex,
-                current: *current as u16,
-                frames: stack.clone(),
+            (SessEval::Stack(e), _) => CheckpointState::Stack {
+                lex: self.lex,
+                current: e.current as u16,
+                frames: e.frames.iter().map(|&f| f as u16).collect(),
             },
+            _ => unreachable!("evaluator/backend agree by construction"),
         };
         if let Some(o) = &self.obs {
             o.checkpoints.incr();
@@ -1604,17 +1293,7 @@ impl<'q> EngineSession<'q> {
         if let Some(e) = self.failed {
             return Err(e);
         }
-        let in_text = match &self.state {
-            SessState::Registerless { s } => {
-                let FusedBackend::Registerless(b) = &self.query.backend else {
-                    unreachable!("state/backend agree by construction");
-                };
-                *s < b.m
-            }
-            SessState::Stackless { lex, .. } => *lex == TEXT,
-            SessState::Stack { lex, .. } => *lex == TEXT,
-        };
-        if !in_text {
+        if self.lex != TEXT {
             return Err(SessionError::Parse(TreeError::Parse {
                 position: self.offset,
                 message: "input ended inside markup".to_owned(),
@@ -1711,81 +1390,11 @@ pub struct RecoveryOutcome {
     pub suppressed: usize,
 }
 
-/// Per-backend query state for the recovery stepper (the lenient pass is
-/// not a throughput path, so every backend runs the factored per-event
-/// loop here).
-enum RecQuery<'q> {
-    Registerless {
-        qnext: &'q [u16],
-        accepting: &'q [bool],
-        k2: usize,
-        q: usize,
-    },
-    Stackless {
-        core: &'q HarCore,
-        run: HarRun,
-    },
-    Stack {
-        dfa: &'q st_automata::Dfa,
-        current: usize,
-        stack: Vec<u16>,
-    },
-}
-
-impl RecQuery<'_> {
-    fn open(&mut self, l: usize, depth: i64) -> bool {
-        match self {
-            RecQuery::Registerless {
-                qnext,
-                accepting,
-                k2,
-                q,
-            } => {
-                *q = qnext[*q * *k2 + l] as usize;
-                accepting[*q]
-            }
-            RecQuery::Stackless { core, run } => run.open(core, l, depth),
-            RecQuery::Stack {
-                dfa,
-                current,
-                stack,
-            } => {
-                stack.push(*current as u16);
-                *current = dfa.step(*current, l);
-                dfa.is_accepting(*current)
-            }
-        }
-    }
-
-    fn close(&mut self, l: usize, depth: i64) {
-        match self {
-            RecQuery::Registerless { qnext, k2, q, .. } => {
-                *q = qnext[*q * *k2 + (*k2 / 2) + l] as usize;
-            }
-            RecQuery::Stackless { core, run } => run.close(core, l, depth),
-            RecQuery::Stack { current, stack, .. } => {
-                if let Some(s) = stack.pop() {
-                    *current = s as usize;
-                }
-            }
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // FusedQuery session API
 // ---------------------------------------------------------------------------
 
 impl FusedQuery {
-    /// The tag lexer of the chosen backend.
-    pub(crate) fn tag_lexer(&self) -> &TagLexer {
-        match &self.backend {
-            FusedBackend::Registerless(b) => b.lexer(),
-            FusedBackend::Stackless(e) => &e.lexer,
-            FusedBackend::Stack(e) => &e.lexer,
-        }
-    }
-
     /// Opens a fresh resilient session under `limits`.
     pub fn session(&self, limits: Limits) -> EngineSession<'_> {
         let session = EngineSession::fresh(self, limits);
@@ -1857,13 +1466,10 @@ impl FusedQuery {
                 offset: checkpoint.offset,
             });
         }
-        session.state = match (&checkpoint.state, &self.backend) {
+        let (lex, eval) = match (&checkpoint.state, &self.backend) {
             (CheckpointState::Registerless { composite }, FusedBackend::Registerless(b)) => {
-                let s = *composite as usize;
-                if s >= b.n_states() {
-                    return Err(corrupt(format!("composite state {s} out of range")));
-                }
-                SessState::Registerless { s }
+                let (lex, eval) = b.restore(*composite)?;
+                (lex, SessEval::Dfa(eval))
             }
             (
                 CheckpointState::Stackless {
@@ -1874,22 +1480,10 @@ impl FusedQuery {
                 },
                 FusedBackend::Stackless(e),
             ) => {
-                let dfa = e.program.core().dfa();
-                if *current as usize >= dfa.n_states() || chain.len() > MAX_CHAIN {
-                    return Err(corrupt("stackless state out of range"));
-                }
-                let mut run = HarRun {
-                    current: *current as usize,
-                    dead: *dead,
-                    chain: [0; MAX_CHAIN],
-                    regs: [0; MAX_CHAIN],
-                    chain_len: chain.len(),
-                };
-                for (i, (s, r)) in chain.iter().enumerate() {
-                    run.chain[i] = *s;
-                    run.regs[i] = *r;
-                }
-                SessState::Stackless { lex: *lex, run }
+                let core = e.program.core();
+                let eval =
+                    HarEval::restore(core, checkpoint.depth, *current as usize, *dead, chain)?;
+                (*lex, SessEval::Har(eval))
             }
             (
                 CheckpointState::Stack {
@@ -1899,25 +1493,18 @@ impl FusedQuery {
                 },
                 FusedBackend::Stack(e),
             ) => {
-                if *current as usize >= e.dfa.n_states() {
-                    return Err(corrupt("stack state out of range"));
-                }
-                SessState::Stack {
-                    lex: *lex,
-                    current: *current as usize,
-                    stack: frames.clone(),
-                }
+                let frames = frames.iter().map(|&f| f as u32).collect();
+                let eval =
+                    StackEval::restore(&e.dfa, *current as usize, frames, checkpoint.offset)?;
+                (*lex, SessEval::Stack(eval))
             }
             _ => unreachable!("strategy equality checked above"),
         };
-        let lexer_states = self.tag_lexer().n_states() as u16;
-        let lex_ok = match &session.state {
-            SessState::Registerless { .. } => true,
-            SessState::Stackless { lex, .. } | SessState::Stack { lex, .. } => *lex < lexer_states,
-        };
-        if !lex_ok {
+        if lex as usize >= self.tag_lexer().n_states() {
             return Err(corrupt("lexer state out of range"));
         }
+        session.lex = lex;
+        session.eval = eval;
         Ok(session)
     }
 
@@ -1982,21 +1569,10 @@ impl FusedQuery {
         session.finish()
     }
 
-    /// Whether the one-shot guarded fast path applies: the whole
-    /// document is in memory, so the byte budget degenerates to a length
-    /// check and only the wall-clock budget still needs the windowed
-    /// loop's amortized clock reads.
-    fn fast_guard_applies(&self, bytes: &[u8], limits: &Limits) -> bool {
-        limits.time_budget.is_none() && limits.max_bytes.is_none_or(|mb| bytes.len() <= mb)
-    }
-
     /// Resource-guarded select over a whole in-memory document.  With
-    /// unbounded limits this is exactly [`Self::select_bytes`].  With
-    /// structural limits the depth/imbalance compares ride inline in the
-    /// engines' own scan-closure loops (one compare per *event*, not per
-    /// byte); only a wall-clock budget, an already-blown byte budget, or
-    /// any detected breach or parse error falls back to the windowed
-    /// session loop, which reproduces the exact diagnostic cold.
+    /// unbounded limits this is exactly [`Self::select_bytes`]; otherwise
+    /// it is [`Self::run_session`], with a parse failure re-scanned for
+    /// the `Scanner`'s exact diagnostic.
     ///
     /// # Errors
     ///
@@ -2014,78 +1590,8 @@ impl FusedQuery {
             record_scan_stats(&limits.obs, &stats);
             return res;
         }
-        if self.fast_guard_applies(bytes, limits) {
-            limits.obs.counter("engine_guarded_runs_total").incr();
-            let max_depth = limits.max_depth.map(|d| d as i64).unwrap_or(i64::MAX);
-            let min_depth = limits
-                .max_imbalance
-                .map(|d| -(d as i64))
-                .unwrap_or(i64::MIN);
-            let force = limits.force_scalar;
-            let mut stats = ScanStats::default();
-            let fast = match &self.backend {
-                FusedBackend::Registerless(b) => {
-                    // The O(1)-state engine has no depth of its own;
-                    // with only a (satisfied) byte budget the guarded
-                    // run IS the unguarded run, and structural limits
-                    // ride on the open/close flags in the composite
-                    // table.
-                    if limits.max_depth.is_none() && limits.max_imbalance.is_none() {
-                        self.select_bytes_opts(bytes, &mut stats, force).ok()
-                    } else {
-                        b.select_bytes_guarded(bytes, max_depth, min_depth, &mut stats, force)
-                    }
-                }
-                FusedBackend::Stackless(e) => {
-                    let mut out = Vec::new();
-                    match e.run_guarded(
-                        bytes,
-                        max_depth,
-                        min_depth,
-                        &mut stats,
-                        force,
-                        |node, sel| {
-                            if sel {
-                                out.push(node);
-                            }
-                        },
-                    ) {
-                        Ok(true) => Some(out),
-                        _ => None,
-                    }
-                }
-                FusedBackend::Stack(e) => {
-                    let mut out = Vec::new();
-                    match e.run_guarded(
-                        bytes,
-                        max_depth,
-                        min_depth,
-                        &mut stats,
-                        force,
-                        |node, sel| {
-                            if sel {
-                                out.push(node);
-                            }
-                        },
-                    ) {
-                        Ok(true) => Some(out),
-                        _ => None,
-                    }
-                }
-            };
-            record_scan_stats(&limits.obs, &stats);
-            if let Some(out) = fast {
-                return Ok(out);
-            }
-        }
-        limits.obs.counter("engine_guard_fallbacks_total").incr();
-        match self.run_session(bytes, limits) {
-            Ok(outcome) => Ok(outcome.matches),
-            Err(SessionError::Parse(_)) => {
-                Err(SessionError::Parse(rescan_error(bytes, &self.alphabet)))
-            }
-            Err(e) => Err(e),
-        }
+        self.run_session_rescanned(bytes, limits)
+            .map(|outcome| outcome.matches)
     }
 
     /// Resource-guarded count; see [`Self::select_bytes_limited`].
@@ -2106,54 +1612,23 @@ impl FusedQuery {
             record_scan_stats(&limits.obs, &stats);
             return res;
         }
-        if self.fast_guard_applies(bytes, limits) {
-            limits.obs.counter("engine_guarded_runs_total").incr();
-            let max_depth = limits.max_depth.map(|d| d as i64).unwrap_or(i64::MAX);
-            let min_depth = limits
-                .max_imbalance
-                .map(|d| -(d as i64))
-                .unwrap_or(i64::MIN);
-            let force = limits.force_scalar;
-            let mut stats = ScanStats::default();
-            let fast = match &self.backend {
-                FusedBackend::Registerless(b) => {
-                    if limits.max_depth.is_none() && limits.max_imbalance.is_none() {
-                        self.count_bytes_opts(bytes, &mut stats, force).ok()
-                    } else {
-                        b.count_bytes_guarded(bytes, max_depth, min_depth, &mut stats, force)
-                    }
-                }
-                FusedBackend::Stackless(e) => {
-                    let mut n = 0usize;
-                    match e.run_guarded(bytes, max_depth, min_depth, &mut stats, force, |_, sel| {
-                        n += sel as usize;
-                    }) {
-                        Ok(true) => Some(n),
-                        _ => None,
-                    }
-                }
-                FusedBackend::Stack(e) => {
-                    let mut n = 0usize;
-                    match e.run_guarded(bytes, max_depth, min_depth, &mut stats, force, |_, sel| {
-                        n += sel as usize;
-                    }) {
-                        Ok(true) => Some(n),
-                        _ => None,
-                    }
-                }
-            };
-            record_scan_stats(&limits.obs, &stats);
-            if let Some(n) = fast {
-                return Ok(n);
-            }
-        }
-        limits.obs.counter("engine_guard_fallbacks_total").incr();
+        self.run_session_rescanned(bytes, limits)
+            .map(|outcome| outcome.matches.len())
+    }
+
+    /// [`Self::run_session`] over a whole in-memory document, replacing a
+    /// parse failure's session diagnostic with the `Scanner`'s, so error
+    /// classes stay comparable engine-wide.
+    fn run_session_rescanned(
+        &self,
+        bytes: &[u8],
+        limits: &Limits,
+    ) -> Result<SessionOutcome, SessionError> {
         match self.run_session(bytes, limits) {
-            Ok(outcome) => Ok(outcome.matches.len()),
             Err(SessionError::Parse(_)) => {
                 Err(SessionError::Parse(rescan_error(bytes, &self.alphabet)))
             }
-            Err(e) => Err(e),
+            res => res,
         }
     }
 
@@ -2178,99 +1653,79 @@ impl FusedQuery {
         bytes: &[u8],
         limits: &Limits,
     ) -> RecoveryOutcome {
-        let cap = limits.diagnostics_cap();
         limits.obs.counter("session_recovery_runs_total").incr();
         let lexer = self.tag_lexer();
-        let k = lexer.k();
-        let mut query = match &self.backend {
-            FusedBackend::Registerless(b) => RecQuery::Registerless {
-                qnext: &b.qnext,
-                accepting: &b.accepting,
-                k2: 2 * k,
-                q: (b.start as usize) % b.m,
-            },
-            FusedBackend::Stackless(e) => RecQuery::Stackless {
-                core: e.program.core(),
-                run: HarRun {
-                    current: e.program.core().dfa().init(),
-                    dead: false,
-                    chain: [0; MAX_CHAIN],
-                    regs: [0; MAX_CHAIN],
-                    chain_len: 0,
-                },
-            },
-            FusedBackend::Stack(e) => RecQuery::Stack {
-                dfa: &e.dfa,
-                current: e.dfa.init(),
-                stack: Vec::new(),
-            },
+        let cap = limits.diagnostics_cap();
+        let out = match &self.backend {
+            FusedBackend::Registerless(b) => recover(lexer, bytes, b.evaluator(), cap),
+            FusedBackend::Stackless(e) => recover(lexer, bytes, e.evaluator(), cap),
+            FusedBackend::Stack(e) => recover(lexer, bytes, e.evaluator(), cap),
         };
-        let mut out = RecoveryOutcome::default();
-        let record = |out: &mut RecoveryOutcome, d: Diagnostic| {
-            if out.diagnostics.len() < cap {
-                out.diagnostics.push(d);
-            } else {
-                out.suppressed += 1;
-            }
-        };
-        let mut depth: i64 = 0;
-        let mut lex = TEXT;
-        let n = bytes.len();
-        let mut i = 0usize;
-        while i < n {
-            if lex == TEXT {
-                i = find_lt(bytes, i);
-                if i >= n {
-                    break;
-                }
-            }
-            let (lex2, ev) = lexer.step(lex, bytes[i]);
-            lex = lex2;
-            if ev != EV_NONE {
-                if ev == EV_ERROR {
-                    record(
-                        &mut out,
-                        Diagnostic {
-                            offset: i,
-                            depth,
-                            class: ErrorClass::Malformed,
-                        },
-                    );
-                    // Resynchronize at the next candidate tag start; the
-                    // query/depth state survives the skipped region.
-                    i = find_lt(bytes, i + 1);
-                    lex = TEXT;
-                    continue;
-                }
-                let (open_l, close_l) = decode_event(ev, k);
-                if let Some(l) = open_l {
-                    depth += 1;
-                    if query.open(l, depth) {
-                        out.matches.push(out.nodes);
-                    }
-                    out.nodes += 1;
-                }
-                if let Some(l) = close_l {
-                    depth -= 1;
-                    query.close(l, depth);
-                }
-            }
-            i += 1;
-        }
-        if lex != TEXT {
-            record(
-                &mut out,
-                Diagnostic {
-                    offset: n,
-                    depth,
-                    class: ErrorClass::Truncated,
-                },
-            );
-        }
         limits
             .obs
             .counter("session_recovery_diagnostics_total")
             .add((out.diagnostics.len() + out.suppressed) as u64);
         out
+    }
+}
+
+/// The recovery loop: steps the lexer byte by byte and feeds every event
+/// to `eval` under an unbounded guard (for the depth the diagnostics
+/// report); on a lexical error it records a [`Diagnostic`] and
+/// resynchronizes at the next `<` with the query and depth state intact.
+fn recover<E: Evaluator>(lexer: &TagLexer, bytes: &[u8], eval: E, cap: usize) -> RecoveryOutcome {
+    let k = lexer.k();
+    let select = Select::new(k, 0, Vec::new());
+    let mut run = Run {
+        eval,
+        policy: Guard::new(k, 0, &Limits::none(), select),
+    };
+    let mut diagnostics = Vec::new();
+    let mut suppressed = 0usize;
+    let mut record = |offset: usize, depth: i64, class: ErrorClass| {
+        if diagnostics.len() < cap {
+            diagnostics.push(Diagnostic {
+                offset,
+                depth,
+                class,
+            });
+        } else {
+            suppressed += 1;
+        }
+    };
+    let mut lex = TEXT;
+    let n = bytes.len();
+    let mut i = 0usize;
+    while i < n {
+        if lex == TEXT {
+            i = find_lt(bytes, i);
+            if i >= n {
+                break;
+            }
+        }
+        let (lex2, ev) = lexer.step(lex, bytes[i]);
+        lex = lex2;
+        if ev == EV_ERROR {
+            record(i, run.policy.depth, ErrorClass::Malformed);
+            // Resynchronize at the next candidate tag start; the
+            // query/depth state survives the skipped region.
+            i = find_lt(bytes, i + 1);
+            lex = TEXT;
+            continue;
+        }
+        if ev != EV_NONE {
+            run.event(ev, i);
+        }
+        i += 1;
+    }
+    if lex != TEXT {
+        record(n, run.policy.depth, ErrorClass::Truncated);
+    }
+    let select = run.policy.inner;
+    RecoveryOutcome {
+        matches: select.out,
+        nodes: select.node,
+        diagnostics,
+        suppressed,
     }
 }

@@ -1,8 +1,8 @@
 //! Structural indexing: the simdjson-style two-pass fast path of the
 //! fused byte engines.
 //!
-//! The scalar engines walk one composite-DFA transition per byte — a
-//! dependent table load per byte is the throughput ceiling.  This module
+//! The scalar lexer steps one transition per byte — a dependent table
+//! load per byte is the throughput ceiling.  This module
 //! replaces the per-byte walk with two passes over fixed-size windows
 //! ([`STRUCTURAL_WINDOW`] bytes):
 //!
@@ -57,7 +57,7 @@
 
 use std::sync::OnceLock;
 
-use crate::engine::{is_name_byte, is_name_start, TagLexer, EV_ERROR, EV_NONE, TEXT};
+use crate::engine::{find_lt, is_name_byte, is_name_start, TagLexer, EV_ERROR, EV_NONE, TEXT};
 use crate::simd;
 
 /// Bytes per structural-index window: the unit of the build-then-stride
@@ -99,7 +99,7 @@ pub(crate) enum ScanEnd {
         lex: u16,
     },
     /// The event sink returned `false` (budget breach); the scan stopped
-    /// with the event's transition applied, like `TagLexer::scan_ctl`.
+    /// with the event's lexer transition applied.
     Stopped,
     /// Malformed input: the byte offset of the first offending byte,
     /// exactly where the scalar lexer errors.
@@ -187,10 +187,10 @@ impl NameTable {
 /// Where [`structural_scan`] delivers events.
 ///
 /// A plain `FnMut(u16, usize) -> bool` closure is a valid sink via the
-/// blanket impl.  The hot engines implement the trait on small structs
-/// whose state lives in by-value scalar fields instead: the certified
-/// sweep is `inline(never)` and monomorphized per sink, and a struct
-/// behind one `&mut` register-promotes cleanly inside its loop, where
+/// blanket impl.  The engines hand the driver a `crate::engine::Run`
+/// instead — evaluator and policy held by value: the certified sweep is
+/// `inline(never)` and monomorphized per sink, and a struct behind one
+/// `&mut` register-promotes cleanly inside its loop, where
 /// closure-captured `&mut` locals round-trip through memory once per
 /// event.
 pub(crate) trait EventSink {
@@ -610,6 +610,67 @@ pub(crate) fn structural_scan(
     // Excursions that end mid-markup return above, so reaching here the
     // lexer is in TEXT.
     ScanEnd::Complete { lex }
+}
+
+/// How a [`drive_window`] ended.
+pub(crate) enum DriveEnd {
+    /// Window consumed; the lexer state was written back.
+    Done,
+    /// Malformed input at this window-relative offset.
+    Parse(usize),
+    /// The sink stopped the scan (budget breach; the sink recorded why).
+    Stopped,
+}
+
+/// The one byte driver every evaluator runs under: feeds the lexer events
+/// of window `w` into `sink` through the indexed [`structural_scan`], or,
+/// with `force_scalar`, through the plain `TagLexer` byte loop.  `lex` is
+/// the entry lexer state and receives the exit state; event positions
+/// are window-relative.
+pub(crate) fn drive_window<S: EventSink>(
+    lexer: &TagLexer,
+    w: &[u8],
+    lex: &mut u16,
+    force_scalar: bool,
+    stats: &mut ScanStats,
+    sink: &mut S,
+) -> DriveEnd {
+    if !force_scalar {
+        return match structural_scan(lexer, w, *lex, stats, sink) {
+            ScanEnd::Complete { lex: l2 } => {
+                *lex = l2;
+                DriveEnd::Done
+            }
+            ScanEnd::Error { pos } => DriveEnd::Parse(pos),
+            ScanEnd::Stopped => DriveEnd::Stopped,
+        };
+    }
+    let n = w.len();
+    let mut l = *lex;
+    let mut i = 0usize;
+    while i < n {
+        if l == TEXT {
+            i = find_lt(w, i);
+            if i >= n {
+                break;
+            }
+        }
+        let (l2, ev) = lexer.step(l, w[i]);
+        l = l2;
+        if ev != EV_NONE {
+            if ev == EV_ERROR {
+                *lex = l;
+                return DriveEnd::Parse(i);
+            }
+            if !sink.event(ev, i) {
+                *lex = l;
+                return DriveEnd::Stopped;
+            }
+        }
+        i += 1;
+    }
+    *lex = l;
+    DriveEnd::Done
 }
 
 #[inline]

@@ -187,7 +187,7 @@ pub enum RequestOutcome {
     /// (see [`ServeError::class`]).
     Failed(String),
     /// Not submitted: the generated pattern has no byte-level engine
-    /// (composite table over budget).
+    /// (composite state over budget).
     Skipped,
 }
 

@@ -384,25 +384,133 @@ fn time_budget_fires_between_windows() {
     ));
 }
 
+/// Every automaton class through every whole-document entry point, on
+/// the indexed and the forced-scalar byte path: the one-shot calls, their
+/// observed twins, a session, `*_limited` with roomy budgets, `*_limited`
+/// with budgets the document breaches, and recovery on a clean document
+/// must all agree with each other and with the DOM oracle.
 #[test]
 fn limited_select_matches_unlimited_and_keeps_scanner_diagnostics() {
-    let (fused, doc) = demo_query();
-    let roomy = Limits::none().with_max_depth(1000).with_max_bytes(1 << 20);
-    assert_eq!(
-        fused.select_bytes_limited(&doc, &roomy).unwrap(),
-        fused.select_bytes(&doc).unwrap()
-    );
-    assert_eq!(
-        fused.count_bytes_limited(&doc, &roomy).unwrap(),
-        fused.count_bytes(&doc).unwrap()
-    );
-    // On malformed input the guarded path re-scans for the Scanner's
-    // exact diagnostic, so error classes stay comparable engine-wide.
-    let bad = b"<a><zz></a>";
-    let want = fused.select_bytes(bad).unwrap_err();
-    match fused.select_bytes_limited(bad, &roomy) {
-        Err(SessionError::Parse(got)) => assert_eq!(format!("{got:?}"), format!("{want:?}")),
-        other => panic!("expected scanner-grade parse error, got {other:?}"),
+    use stackless_streamed_trees::obs::ObsHandle;
+    use stackless_streamed_trees::trees::encode::markup_encode;
+    use stackless_streamed_trees::trees::generate::random_attachment;
+    use stackless_streamed_trees::trees::oracle;
+    use stackless_streamed_trees::trees::xml::write_events;
+
+    let g = Alphabet::of_chars("ab");
+    let tree = random_attachment(&g, 160, 0.6, 11);
+    let tags = markup_encode(&tree);
+    // A comment and a quoted `>` up front send the indexed path through
+    // its scalar fallback too.
+    let mut doc = b"<?xml version=\"1.0\"?><!-- lead <a> -->".to_vec();
+    doc.extend_from_slice(write_events(&tags, &g).as_bytes());
+    let max_depth = tags
+        .iter()
+        .scan(0i64, |d, t| {
+            *d += if t.is_open() { 1 } else { -1 };
+            Some(*d)
+        })
+        .max()
+        .unwrap() as usize;
+    assert!(max_depth > 2, "the tree has depth to breach");
+    // Stray closes after the root: tokenizable, but unbalanced.
+    let mut stray = doc.clone();
+    stray.extend_from_slice(b"</a></b></a>");
+    let roomy = Limits::none()
+        .with_max_depth(1000)
+        .with_max_bytes(1 << 20)
+        .with_max_imbalance(8);
+    let shallow = Limits::none().with_max_depth(max_depth - 1);
+    let tight = Limits::none().with_max_imbalance(1);
+
+    for (pattern, strategy) in [
+        ("a.*b", Strategy::Registerless),
+        (".*a.*b", Strategy::Stackless),
+        (".*ab", Strategy::Stack),
+    ] {
+        let dfa = compile_regex(pattern, &g).unwrap();
+        let want: Vec<usize> = oracle::select(&tree, &dfa)
+            .into_iter()
+            .map(|v| v.index())
+            .collect();
+        let mut per_path = Vec::new();
+        for force in [false, true] {
+            let mut fused = CompiledQuery::compile(&dfa).fused(&g).unwrap();
+            assert_eq!(fused.strategy(), strategy, "{pattern}");
+            fused.set_force_scalar(force);
+            let what = format!("{pattern} force_scalar={force}");
+            let obs = ObsHandle::new();
+
+            assert_eq!(fused.select_bytes(&doc).unwrap(), want, "{what}");
+            assert_eq!(fused.count_bytes(&doc).unwrap(), want.len(), "{what}");
+            assert_eq!(
+                fused.select_bytes_observed(&doc, &obs).unwrap(),
+                want,
+                "{what}"
+            );
+            assert_eq!(
+                fused.count_bytes_observed(&doc, &obs).unwrap(),
+                want.len(),
+                "{what}"
+            );
+            assert_eq!(
+                fused.run_session(&doc, &Limits::none()).unwrap().matches,
+                want,
+                "{what}"
+            );
+            assert_eq!(
+                fused.select_bytes_limited(&doc, &roomy).unwrap(),
+                want,
+                "{what}"
+            );
+            assert_eq!(
+                fused.count_bytes_limited(&doc, &roomy).unwrap(),
+                want.len(),
+                "{what}"
+            );
+
+            // Breached budgets: the same typed error as the session.
+            for (bytes, limits, kind) in [
+                (&doc, &shallow, LimitKind::Depth),
+                (&stray, &tight, LimitKind::Imbalance),
+            ] {
+                let session = fused.run_session(bytes, limits).unwrap_err();
+                assert!(
+                    matches!(&session, SessionError::Limit(e) if e.kind == kind),
+                    "{what}: expected a {kind} breach, got {session:?}"
+                );
+                assert_eq!(
+                    fused.select_bytes_limited(bytes, limits).unwrap_err(),
+                    session
+                );
+                assert_eq!(
+                    fused.count_bytes_limited(bytes, limits).unwrap_err(),
+                    session
+                );
+                per_path.push(format!("{session:?}"));
+            }
+
+            let rec = fused.select_bytes_recovering(&doc);
+            assert_eq!(rec.matches, want, "{what}: recovery on a clean document");
+            assert_eq!(rec.nodes, tags.len() / 2, "{what}");
+            assert!(rec.diagnostics.is_empty() && rec.suppressed == 0, "{what}");
+
+            // On malformed input the guarded path re-scans for the
+            // Scanner's exact diagnostic, so error classes stay comparable
+            // engine-wide.
+            let bad = b"<a><zz></a>";
+            let want_err = fused.select_bytes(bad).unwrap_err();
+            match fused.select_bytes_limited(bad, &roomy) {
+                Err(SessionError::Parse(got)) => assert_eq!(got, want_err, "{what}"),
+                other => panic!("{what}: expected scanner-grade parse error, got {other:?}"),
+            }
+            per_path.push(format!("{want_err:?}"));
+        }
+        let (indexed, scalar) = per_path.split_at(per_path.len() / 2);
+        assert_eq!(
+            indexed, scalar,
+            "{pattern}: both byte paths fail identically"
+        );
     }
 }
 
